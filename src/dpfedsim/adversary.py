@@ -134,7 +134,7 @@ def episodic_loss(
     compromised nodes' validation sets."""
     if not shards:
         raise ValueError("no compromised shards to evaluate")
-    losses = [mse_loss(arch, global_params, s.validation_xy) for s in shards]
+    losses = [mse_loss(arch, global_params, (s.validation.x, s.validation.y)) for s in shards]
     return float(np.mean(losses))
 
 
@@ -170,17 +170,6 @@ def tune_poison_degree(state: AttackState, current_loss: float, cfg: AttackConfi
         gamma_episode=gamma_episode,
         loss_ratio=ratio,
     )
-
-
-def mpelm_step(
-    state: AttackState,
-    arch: Architecture,
-    global_params: np.ndarray,
-    shards: Sequence[NodeShard],
-    cfg: AttackConfig,
-) -> AttackState:
-    """Full adaptive step: measure compromised validation loss, then retune."""
-    return tune_poison_degree(state, episodic_loss(arch, global_params, shards), cfg)
 
 
 def stopped_nodes(active: Sequence[int], cfg: AttackConfig) -> frozenset[int]:

@@ -14,6 +14,7 @@ from pathlib import Path
 from . import csvio, presets, rdp
 from .config import ConfigError, ExperimentConfig
 from .experiment import SCHEMAS, discover_runs, final_loss_runner, report, run
+from .model import TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,7 +117,11 @@ def _cmd_train(args, forced_mode=None) -> int:
         worst = EXIT_OK
         for name, overrides in presets.expand(args.preset):
             cfg = _load_config(args, overrides)
-            worst = max(worst, _run_single(cfg, out_root / name))
+            try:
+                worst = max(worst, _run_single(cfg, out_root / name))
+            except TrainingDivergedError as exc:  # one diverging cell must not end the grid
+                print(f"{out_root / name}: diverged at step {exc.step}")
+                worst = EXIT_RUNTIME
         return worst
     overrides = {}
     if getattr(args, "detector", None):
@@ -163,28 +168,18 @@ def write_tables(path, tables: rdp.LossTables):
 
 def read_tables(path) -> rdp.LossTables:
     rows = csvio.read_csv(path, "loss_tables", SCHEMAS["loss_tables"])
-    cells = [
-        {
-            "epsilon": float(r["epsilon"]),
-            "gamma": float(r["gamma"]),
-            "seed": int(r["seed"]),
-            "m_l": float(r["m_l"]),
-            "f_l": float(r["f_l"]),
-        }
-        for r in rows
-    ]
-    grid = tuple(sorted({c["epsilon"] for c in cells}))
-    import numpy as np
-
-    m_l, f_l = [], []
-    for eps in grid:
-        mine = [c for c in cells if c["epsilon"] == eps]
-        with np.errstate(all="ignore"):
-            m = np.array([c["m_l"] for c in mine])
-            f = np.array([c["f_l"] for c in mine])
-            m_l.append(float(np.nanmean(m)) if np.any(np.isfinite(m)) else float("nan"))
-            f_l.append(float(np.nanmean(f)) if np.any(np.isfinite(f)) else float("nan"))
-    return rdp.LossTables(epsilon_grid=grid, m_l=np.array(m_l), f_l=np.array(f_l), cells=cells)
+    return rdp.LossTables.from_cells(
+        [
+            {
+                "epsilon": float(r["epsilon"]),
+                "gamma": float(r["gamma"]),
+                "seed": int(r["seed"]),
+                "m_l": float(r["m_l"]),
+                "f_l": float(r["f_l"]),
+            }
+            for r in rows
+        ]
+    )
 
 
 def _cmd_rdp_train(args) -> int:

@@ -60,7 +60,7 @@ DEFAULTS: dict[str, object] = {
     "optimizer.learning_rate": 0.001,
     "optimizer.batch_size": 32,
     "optimizer.local_steps": 5,
-    "optimizer.early_stop": "on",
+    "optimizer.early_stop": True,  # on | off (also true/false, yes/no)
     "optimizer.patience": 3,
     "seed": 0,
 }
@@ -72,6 +72,8 @@ def _coerce(key: str, raw, default) -> object:
     if isinstance(raw, str):
         raw = raw.strip()
     if raw == "" or raw is None:
+        if default != "":
+            raise ConfigError(key, "empty value")
         return ""
     try:
         if isinstance(default, bool):
@@ -149,6 +151,18 @@ class ExperimentConfig:
             raise ConfigError("attack.mode", f"unknown mode {v['attack.mode']!r}")
         if v["federation.episodes"] < 1:
             raise ConfigError("federation.episodes", "must be >= 1")
+        if v["privacy.stop_threshold"] < 0:
+            raise ConfigError("privacy.stop_threshold", "must be >= 0")
+        split = v["data.server_split"]
+        if not 0.0 <= split < 1.0:
+            raise ConfigError("data.server_split", f"need 0 <= {split} < 1")
+        empty_holdout = split == 0.0 or (
+            v["data.source"] == "synthetic" and round(split * v["data.n_samples"]) == 0
+        )
+        if v["detector.kind"] in ("accuracy", "mix") and empty_holdout:
+            raise ConfigError(
+                "data.server_split", f"{v['detector.kind']} detection needs a nonempty server holdout"
+            )
         try:
             self.architecture()
         except (ValueError, TypeError) as exc:
@@ -189,7 +203,7 @@ class ExperimentConfig:
             learning_rate=self.values["optimizer.learning_rate"],
             batch_size=self.values["optimizer.batch_size"],
             local_steps=self.values["optimizer.local_steps"],
-            early_stop=bool(_BOOLS.get(str(self.values["optimizer.early_stop"]).lower(), True)),
+            early_stop=self.values["optimizer.early_stop"],
             patience=self.values["optimizer.patience"],
         )
 

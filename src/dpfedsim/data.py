@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,40 +40,45 @@ SYNTH_INTERCEPT = 0.05
 
 
 class IngestionError(ValueError):
-    """Raised when a source file cannot be turned into samples."""
+    """Raised when a source file cannot be turned into a dataset."""
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One normalized observation: six features and a scalar target."""
+class Dataset:
+    """N normalized observations: an N x 6 feature matrix and N targets.
 
-    features: np.ndarray
-    target: float
+    Construction checks the shape and that every value is finite, so
+    data read from a CSV or cache file is validated once, up front.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        object.__setattr__(self, "features", feats)
-        if feats.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got {feats.shape}")
-        if not np.all(np.isfinite(feats)) or not np.isfinite(self.target):
-            raise ValueError("sample contains non-finite values")
+        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        if x.ndim != 2 or x.shape[1] != N_FEATURES or y.shape != (len(x),):
+            raise ValueError(f"expected N x {N_FEATURES} features and N targets, got {x.shape} and {y.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("dataset contains non-finite values")
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def take(self, idx) -> "Dataset":
+        """The rows at ``idx`` (indices or a slice), in that order."""
+        return Dataset(self.x[idx], self.y[idx])
 
 
 @dataclass(frozen=True)
 class NodeShard:
-    """A node's local data: training samples plus a held-out validation split."""
+    """A node's local data: a training split plus a held-out validation split."""
 
     node_id: int
-    train: tuple[Sample, ...]
-    validation: tuple[Sample, ...]
-
-    @cached_property
-    def train_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        return stack_samples(self.train)
-
-    @cached_property
-    def validation_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        return stack_samples(self.validation)
+    train: Dataset
+    validation: Dataset
 
 
 @dataclass
@@ -98,8 +102,7 @@ class BatchSampler:
 
     @classmethod
     def for_shard(cls, shard: NodeShard, batch_size: int, seed: int, *tags) -> "BatchSampler":
-        x, y = shard.train_xy
-        return cls(x=x, y=y, batch_size=batch_size, seed=seed,
+        return cls(x=shard.train.x, y=shard.train.y, batch_size=batch_size, seed=seed,
                    stream_tags=("batch",) + tuple(tags))
 
     def _reshuffle(self) -> None:
@@ -116,15 +119,6 @@ class BatchSampler:
         return self.x[idx], self.y[idx]
 
 
-def stack_samples(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (X, y) arrays; empty input yields empty arrays."""
-    if len(samples) == 0:
-        return np.empty((0, N_FEATURES)), np.empty((0,))
-    x = np.stack([s.features for s in samples])
-    y = np.array([s.target for s in samples], dtype=np.float64)
-    return x, y
-
-
 def _normalize_columns(values: np.ndarray) -> np.ndarray:
     lo = values.min(axis=0)
     hi = values.max(axis=0)
@@ -136,18 +130,15 @@ def _normalize_columns(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _samples_from_matrix(matrix: np.ndarray) -> list[Sample]:
+def _dataset_from_matrix(matrix: np.ndarray) -> Dataset:
     normalized = _normalize_columns(matrix)
     target_idx = EXPECTED_HEADER.index(TARGET_COLUMN) - 2  # numeric columns start after Date;Time
     feature_idx = [i for i in range(matrix.shape[1]) if i != target_idx]
-    return [
-        Sample(features=row[feature_idx], target=float(row[target_idx]))
-        for row in normalized
-    ]
+    return Dataset(normalized[:, feature_idx], normalized[:, target_idx])
 
 
-def ingest_csv(path, policy: str = "drop", cache_dir=None) -> list[Sample]:
-    """Parse the semicolon-separated power-consumption CSV into samples.
+def ingest_csv(path, policy: str = "drop", cache_dir=None) -> Dataset:
+    """Parse the semicolon-separated power-consumption CSV into a dataset.
 
     Rows containing any "?" are treated as missing; ``policy`` is either
     "drop" (discard those rows, the default) or "fail" (refuse the file).
@@ -206,10 +197,10 @@ def ingest_csv(path, policy: str = "drop", cache_dir=None) -> list[Sample]:
     if not rows:
         raise IngestionError(f"{path}: all rows missing or malformed")
 
-    samples = _samples_from_matrix(np.array(rows, dtype=np.float64))
+    data = _dataset_from_matrix(np.array(rows, dtype=np.float64))
     if cache_dir is not None:
-        save_cache(cache_path(cache_dir, raw), samples)
-    return samples
+        save_cache(cache_path(cache_dir, raw), data)
+    return data
 
 
 def cache_path(cache_dir, raw_bytes: bytes):
@@ -220,29 +211,26 @@ def cache_path(cache_dir, raw_bytes: bytes):
     return Path(cache_dir) / f"{digest}.npz"
 
 
-def save_cache(path, samples: Sequence[Sample]) -> None:
-    """Write cleaned samples as an .npz cache (see README for the format)."""
+def save_cache(path, data: Dataset) -> None:
+    """Write a cleaned dataset as an .npz cache (see README for the format)."""
     from pathlib import Path
 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    x, y = stack_samples(samples)
-    np.savez(path, version=CACHE_VERSION, features=x, target=y)
+    np.savez(path, version=CACHE_VERSION, features=data.x, target=data.y)
 
 
-def load_cache(path) -> list[Sample]:
+def load_cache(path) -> Dataset:
     with np.load(path) as archive:
         if int(archive["version"]) != CACHE_VERSION:
             raise IngestionError(f"{path}: unsupported cache version {archive['version']}")
-        x = archive["features"]
-        y = archive["target"]
-    return [Sample(features=xi, target=float(yi)) for xi, yi in zip(x, y)]
+        return Dataset(archive["features"], archive["target"])
 
 
-def synthesize(n_samples: int, seed: int, noise_scale: float = 0.05) -> list[Sample]:
+def synthesize(n_samples: int, seed: int, noise_scale: float = 0.05) -> Dataset:
     """Generate samples from a fixed linear ground truth plus Gaussian noise.
 
     Features are uniform on [0, 1]; the target is clipped back into [0, 1]
-    after the noise is added so sample invariants hold. Deterministic
+    after the noise is added so the dataset invariants hold. Deterministic
     given the seed.
     """
     if n_samples <= 0:
@@ -252,11 +240,10 @@ def synthesize(n_samples: int, seed: int, noise_scale: float = 0.05) -> list[Sam
     y = x @ SYNTH_WEIGHTS + SYNTH_INTERCEPT
     if noise_scale > 0:
         y = y + rng.normal(0.0, noise_scale, size=n_samples)
-    y = np.clip(y, 0.0, 1.0)
-    return [Sample(features=xi, target=float(yi)) for xi, yi in zip(x, y)]
+    return Dataset(x, np.clip(y, 0.0, 1.0))
 
 
-def partition(data: Sequence[Sample], k: int, seed: int) -> list[NodeShard]:
+def partition(data: Dataset, k: int, seed: int) -> list[NodeShard]:
     """Split data IID across ``k`` nodes into near-equal shards.
 
     Shard sizes differ by at most one (the first ``len(data) % k`` shards
@@ -278,19 +265,14 @@ def partition(data: Sequence[Sample], k: int, seed: int) -> list[NodeShard]:
         size = base + (1 if node_id < extra else 0)
         idx = order[start:start + size]
         start += size
-        members = tuple(data[i] for i in idx)
-        n_val = round(VALIDATION_FRACTION * size)
+        n_train = size - round(VALIDATION_FRACTION * size)
         shards.append(
-            NodeShard(
-                node_id=node_id,
-                train=members[: size - n_val],
-                validation=members[size - n_val:],
-            )
+            NodeShard(node_id=node_id, train=data.take(idx[:n_train]), validation=data.take(idx[n_train:]))
         )
     return shards
 
 
-def split_holdout(data: Sequence[Sample], fraction: float, seed: int) -> tuple[list[Sample], list[Sample]]:
+def split_holdout(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Carve a server-side holdout off the front of a shuffled copy.
 
     Returns (holdout, rest); the rest is what gets partitioned across
@@ -301,22 +283,13 @@ def split_holdout(data: Sequence[Sample], fraction: float, seed: int) -> tuple[l
     rng = substream(seed, "holdout")
     order = rng.permutation(len(data))
     n_hold = round(fraction * len(data))
-    holdout = [data[i] for i in order[:n_hold]]
-    rest = [data[i] for i in order[n_hold:]]
-    return holdout, rest
-
-
-def iter_all_samples(shards: Sequence[NodeShard]) -> Iterator[Sample]:
-    for shard in shards:
-        yield from shard.train
-        yield from shard.validation
+    return data.take(order[:n_hold]), data.take(order[n_hold:])
 
 
 def pooled_validation(shards: Sequence[NodeShard]) -> tuple[np.ndarray, np.ndarray]:
     """Union of every shard's validation split, in node-id order."""
-    xs, ys = [], []
-    for shard in sorted(shards, key=lambda s: s.node_id):
-        x, y = shard.validation_xy
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
+    ordered = sorted(shards, key=lambda s: s.node_id)
+    return (
+        np.concatenate([s.validation.x for s in ordered]),
+        np.concatenate([s.validation.y for s in ordered]),
+    )

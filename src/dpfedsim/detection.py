@@ -9,7 +9,7 @@ concurrently per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -124,19 +124,6 @@ def accuracy_rate(
         rate=rate,
         components={"e2": e2, "loss_i": loss_i, "loss_st": loss_st},
     )
-
-
-def mix_filter(
-    updates: Sequence[ModelUpdate],
-    cfg: DetectorConfig,
-    arch: Architecture = None,
-    global_params: np.ndarray = None,
-    validation=None,
-) -> set[int]:
-    """Node ids flagged by either norm or accuracy detection."""
-    norm_v = evaluate(updates, replace(cfg, kind="norm"))
-    acc_v = evaluate(updates, replace(cfg, kind="accuracy"), arch, global_params, validation)
-    return {v.node_id for v in norm_v if v.flagged} | {v.node_id for v in acc_v if v.flagged}
 
 
 def evaluate(

@@ -18,9 +18,16 @@ import numpy as np
 
 from . import csvio
 from .config import ExperimentConfig
-from .data import ingest_csv, load_cache, partition, split_holdout, stack_samples, synthesize
-from .detection import detection_accuracy
-from .federation import Attacker, EmptyAggregationError, FederationState, RoundRecord, run_episode
+from .data import ingest_csv, load_cache, partition, split_holdout, synthesize
+from .detection import DetectorConfig, detection_accuracy
+from .federation import (
+    Attacker,
+    EmptyAggregationError,
+    FederationConfig,
+    FederationState,
+    RoundRecord,
+    run_episode,
+)
 
 SCHEMAS = {
     "episodes": 1,
@@ -70,7 +77,7 @@ class MetricsBundle:
 
 
 def build_dataset(cfg: ExperimentConfig):
-    """Materialize samples per the data block of the config."""
+    """Materialize the dataset per the data block of the config."""
     source = cfg["data.source"]
     if source == "synthetic":
         return synthesize(cfg["data.n_samples"], cfg["seed"], cfg["data.noise_scale"])
@@ -82,10 +89,10 @@ def build_dataset(cfg: ExperimentConfig):
 
 def prepare_state(cfg: ExperimentConfig):
     """Dataset -> server holdout + node shards -> initial federation state."""
-    samples = build_dataset(cfg)
-    holdout, rest = split_holdout(samples, cfg["data.server_split"], cfg["seed"])
+    data = build_dataset(cfg)
+    holdout, rest = split_holdout(data, cfg["data.server_split"], cfg["seed"])
     shards = partition(rest, cfg["federation.nodes"], cfg["seed"])
-    server_validation = stack_samples(holdout) if holdout else None
+    server_validation = (holdout.x, holdout.y) if len(holdout) else None
     fed_cfg = cfg.federation_config()
     state = FederationState.create(fed_cfg, shards, cfg.architecture(), server_validation)
     return state, fed_cfg
@@ -97,6 +104,29 @@ def build_attacker(cfg: ExperimentConfig) -> Optional[Attacker]:
     return Attacker(cfg["attack.mode"], cfg.attack_config())
 
 
+def run_training(
+    state: FederationState,
+    fed_cfg: FederationConfig,
+    attacker: Optional[Attacker] = None,
+    detector: Optional[DetectorConfig] = None,
+) -> tuple[list[RoundRecord], str]:
+    """Run episodes until the configured count or the ledger stop.
+
+    Returns the episode records and the run status: "ok", or
+    "aborted_empty_aggregation_episode_<t>" when every update submitted
+    in episode t was flagged. TrainingDivergedError propagates.
+    """
+    records: list[RoundRecord] = []
+    for _ in range(fed_cfg.episodes):
+        try:
+            records.append(run_episode(state, fed_cfg, attacker, detector))
+        except EmptyAggregationError as exc:
+            return records, f"aborted_empty_aggregation_episode_{exc.episode}"
+        if state.ledger.stopped:
+            break
+    return records, "ok"
+
+
 def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
     """Execute one configured run and persist its metrics."""
     out_dir = Path(out_dir)
@@ -105,20 +135,9 @@ def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
 
     state, fed_cfg = prepare_state(cfg)
     attacker = build_attacker(cfg)
-    detector = cfg.detector_config()
-    detector_armed = detector.kind != "off"
+    records, status = run_training(state, fed_cfg, attacker, cfg.detector_config())
+    detector_armed = cfg["detector.kind"] != "off"
     truth = attacker.config.compromised if attacker else frozenset()
-
-    records: list[RoundRecord] = []
-    status = "ok"
-    for _ in range(fed_cfg.episodes):
-        try:
-            records.append(run_episode(state, fed_cfg, attacker, detector if detector_armed else None))
-        except EmptyAggregationError as exc:
-            status = f"aborted_empty_aggregation_episode_{exc.episode}"
-            break
-        if state.ledger.stopped:
-            break
 
     paths = _emit_metrics(out_dir, cfg, records, attacker, detector_armed, truth)
     summary = {
@@ -277,12 +296,8 @@ def final_loss_runner(base: ExperimentConfig):
             overrides["attack.gamma_fixed"] = gamma
         cfg = ExperimentConfig.from_dict(overrides)
         state, fed_cfg = prepare_state(cfg)
-        attacker = build_attacker(cfg)
-        records = []
-        for _ in range(fed_cfg.episodes):
-            records.append(run_episode(state, fed_cfg, attacker, None))
-            if state.ledger.stopped:
-                break
+        # no detector here, so no episode can abort on an empty aggregation
+        records, _status = run_training(state, fed_cfg, build_attacker(cfg))
         return records[-1].global_val_loss
 
     return final_loss

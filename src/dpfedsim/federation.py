@@ -261,26 +261,6 @@ def run_episode(
     )
 
 
-def run_training(
-    cfg: FederationConfig,
-    shards: Sequence[NodeShard],
-    arch: Architecture = None,
-    attacker: Optional["Attacker"] = None,
-    detector: Optional[det.DetectorConfig] = None,
-    server_validation=None,
-    state: Optional[FederationState] = None,
-) -> tuple[FederationState, list[RoundRecord]]:
-    """Run episodes until the configured count or the ledger stop."""
-    if state is None:
-        state = FederationState.create(cfg, shards, arch, server_validation)
-    records = []
-    for _ in range(cfg.episodes):
-        records.append(run_episode(state, cfg, attacker, detector))
-        if state.ledger.stopped:
-            break
-    return state, records
-
-
 class Attacker:
     """Per-run attacker wrapper: mode, config, and controller state."""
 

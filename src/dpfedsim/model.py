@@ -9,11 +9,10 @@ training many nodes concurrently is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .data import NodeShard, Sample, stack_samples
+from .data import BatchSampler, NodeShard
 
 CHECKPOINT_VERSION = 1
 
@@ -84,6 +83,10 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
 
 def init_params(arch: Architecture, rng: np.random.Generator) -> np.ndarray:
@@ -104,15 +107,9 @@ def unpack(arch: Architecture, params: np.ndarray):
     return layers
 
 
-def _as_xy(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, tuple):
-        return batch
-    return stack_samples(batch)
-
-
 def forward(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
-    """Predictions for a batch (list of samples or an (X, y) pair)."""
-    x, _ = _as_xy(batch)
+    """Predictions for a batch, given as an (X, y) pair."""
+    x, _ = batch
     layers = unpack(arch, params)
     a = x
     for w, b in layers[:-1]:
@@ -122,8 +119,8 @@ def forward(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
 
 
 def mse_loss(arch: Architecture, params: np.ndarray, data) -> float:
-    """Mean squared error over the data; errors on an empty set."""
-    x, y = _as_xy(data)
+    """Mean squared error over an (X, y) pair; errors on an empty set."""
+    x, y = data
     if len(y) == 0:
         raise ValueError("cannot evaluate loss on empty data")
     residual = forward(arch, params, (x, y)) - y
@@ -131,8 +128,8 @@ def mse_loss(arch: Architecture, params: np.ndarray, data) -> float:
 
 
 def gradient(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
-    """Exact backpropagation gradient of mse_loss over the batch."""
-    x, y = _as_xy(batch)
+    """Exact backpropagation gradient of mse_loss over an (X, y) batch."""
+    x, y = batch
     if len(y) == 0:
         raise ValueError("cannot take gradient over an empty batch")
     layers = unpack(arch, params)
@@ -178,8 +175,6 @@ def local_train(
     the shard validation loss has failed to improve for cfg.patience
     consecutive evaluations.
     """
-    from .data import BatchSampler
-
     sampler = BatchSampler.for_shard(shard, cfg.batch_size, seed, *stream_tags)
     w = global_params.copy()
 
@@ -190,7 +185,7 @@ def local_train(
 
     best_val = np.inf
     stale = 0
-    val_xy = shard.validation_xy if len(shard.validation) else None
+    val_xy = (shard.validation.x, shard.validation.y) if len(shard.validation) else None
 
     steps_taken = 0
     for step in range(1, cfg.local_steps + 1):
@@ -245,10 +240,3 @@ def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
     if values.shape != (arch.n_params,):
         raise ValueError("checkpoint parameter vector does not match its header")
     return arch, values
-
-
-def validation_loss(arch: Architecture, params: np.ndarray, shards: Sequence[NodeShard]) -> float:
-    """MSE over the union of the shards' validation splits."""
-    from .data import pooled_validation
-
-    return mse_loss(arch, params, pooled_validation(shards))

@@ -98,7 +98,3 @@ class PrivacyLedger:
         c, d = self.cumulative_delta, spec.delta
         self.cumulative_delta = c + d - c * d
         return "stop" if self.stopped else "continue"
-
-
-def account(ledger: PrivacyLedger, spec: PrivacySpec) -> str:
-    return ledger.account(spec)

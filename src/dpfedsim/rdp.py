@@ -75,8 +75,8 @@ class LossTables:
     """
 
     epsilon_grid: tuple[float, ...]
-    m_l: np.ndarray  # per epsilon, averaged over gamma cells and seeds
-    f_l: np.ndarray  # per epsilon, averaged over seeds
+    m_l: np.ndarray  # per epsilon, averaged over its valid cells
+    f_l: np.ndarray  # per epsilon, averaged over its valid cells
     cells: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
@@ -84,6 +84,28 @@ class LossTables:
         self.f_l = np.asarray(self.f_l, dtype=np.float64)
         if len(self.m_l) != len(self.epsilon_grid) or len(self.f_l) != len(self.epsilon_grid):
             raise ValueError("loss vectors must align with the epsilon grid")
+
+    @classmethod
+    def from_cells(cls, cells: list[dict]) -> "LossTables":
+        """Reduce raw cells to the sorted epsilon grid and per-epsilon means.
+
+        Each mean runs over that epsilon's cells in list order, skipping
+        NaN; an epsilon with no valid cell reduces to NaN. A loss table
+        read back from its CSV therefore reduces to the same bits.
+        """
+        grid = tuple(sorted({c["epsilon"] for c in cells}))
+
+        def mean(key: str, eps: float) -> float:
+            values = np.array([c[key] for c in cells if c["epsilon"] == eps], dtype=np.float64)
+            with np.errstate(all="ignore"):
+                return float(np.nanmean(values)) if np.any(np.isfinite(values)) else float("nan")
+
+        return cls(
+            epsilon_grid=grid,
+            m_l=np.array([mean("m_l", eps) for eps in grid]),
+            f_l=np.array([mean("f_l", eps) for eps in grid]),
+            cells=list(cells),
+        )
 
     def require_complete(self) -> None:
         """Training needs every grid point backed by valid positive losses."""
@@ -355,43 +377,27 @@ def generate_loss_tables(
     ``final_loss(epsilon, gamma, seed)`` must return the final global
     validation loss of one run; gamma None means a benign run. Failed
     runs mark their cell invalid (NaN) rather than aborting the sweep;
-    reductions average the valid cells.
+    reductions average the valid cells (see LossTables.from_cells).
     """
+
+    def loss_or_nan(eps: float, gamma: Optional[float], seed: int) -> float:
+        try:
+            return final_loss(eps, gamma, seed)
+        except Exception:
+            return float("nan")
+
     cells = []
-    f_by_eps = []
-    m_by_eps = []
     for eps in epsilon_grid:
-        benign = {}
-        for seed in seeds:
-            try:
-                benign[seed] = final_loss(eps, None, seed)
-            except Exception:
-                benign[seed] = float("nan")
-        attacked = []
+        benign = {seed: loss_or_nan(eps, None, seed) for seed in seeds}
         for gamma in gamma_values:
             for seed in seeds:
-                try:
-                    m_val = final_loss(eps, gamma, seed)
-                except Exception:
-                    m_val = float("nan")
-                attacked.append(m_val)
                 cells.append(
                     {
                         "epsilon": eps,
                         "gamma": gamma,
                         "seed": seed,
-                        "m_l": m_val,
+                        "m_l": loss_or_nan(eps, gamma, seed),
                         "f_l": benign[seed],
                     }
                 )
-        with np.errstate(all="ignore"):
-            f_vals = np.array(list(benign.values()), dtype=np.float64)
-            m_vals = np.array(attacked, dtype=np.float64)
-            f_by_eps.append(float(np.nanmean(f_vals)) if np.any(np.isfinite(f_vals)) else float("nan"))
-            m_by_eps.append(float(np.nanmean(m_vals)) if np.any(np.isfinite(m_vals)) else float("nan"))
-    return LossTables(
-        epsilon_grid=tuple(epsilon_grid),
-        m_l=np.array(m_by_eps),
-        f_l=np.array(f_by_eps),
-        cells=cells,
-    )
+    return LossTables.from_cells(cells)

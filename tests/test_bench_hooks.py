@@ -1,0 +1,66 @@
+"""The benchmark's tracer must still see the calls the program makes.
+
+perfbench/tracer.py wraps public functions at the names the program looks
+them up under. A refactor that moves a call behind another binding makes
+the per-layer metrics read zero; these checks catch that in the test
+suite. The tracer is imported read-only from its file.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from dpfedsim import cli, experiment, presets
+from dpfedsim.config import ExperimentConfig
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def _smoke_config() -> ExperimentConfig:
+    _name, overrides = presets.expand("smoke")[0]
+    return ExperimentConfig.from_dict({**overrides, "seed": 5})
+
+
+def _calls(tracer, traced, name: str) -> int:
+    return tracer.span_table(traced.spans).get(name, {}).get("calls", 0)
+
+
+def test_hooks_trace_a_smoke_run(tracer, tmp_path):
+    with tracer.Tracer(full=True) as traced:
+        bundle = experiment.run(_smoke_config(), tmp_path / "smoke")
+    tracer.assert_pristine()
+
+    assert bundle.status == "ok"
+    assert _calls(tracer, traced, "experiment.prepare_state") == 1
+    assert _calls(tracer, traced, "federation.run_episode") == bundle.summary["episodes_executed"] == 3
+    assert _calls(tracer, traced, "model.local_train") > 0
+    assert _calls(tracer, traced, "detection.evaluate") == 3
+    assert traced.counters["data.samples"] == 200
+
+
+def test_hooks_trace_a_loss_table_run(tracer):
+    base = _smoke_config()
+    with tracer.Tracer(full=True) as traced:
+        loss = cli.final_loss_runner(base)(base["privacy.epsilon"], None, base["seed"])
+    tracer.assert_pristine()
+
+    assert loss > 0
+    assert traced.counters["rdp.final_loss_calls"] == 1
+    assert _calls(tracer, traced, "experiment.prepare_state") == 1
+    assert _calls(tracer, traced, "federation.run_episode") == base["federation.episodes"]
+    assert _calls(tracer, traced, "model.local_train") > 0
+    assert traced.counters["data.samples"] == 200

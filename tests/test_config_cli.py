@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dpfedsim import csvio
+from dpfedsim import csvio, presets
 from dpfedsim.cli import main, read_tables, write_tables
 from dpfedsim.config import DEFAULTS, ConfigError, ExperimentConfig, parse_config_text
-from dpfedsim.rdp import LossTables
+from dpfedsim.rdp import LossTables, generate_loss_tables
 
 
 # config parsing ---------------------------------------------------------
@@ -124,8 +124,23 @@ def test_tables_roundtrip(tmp_path):
     path = write_tables(tmp_path / "lt.csv", tables)
     back = read_tables(path)
     assert back.epsilon_grid == (0.5, 1.0)
-    assert np.allclose(back.m_l, tables.m_l)
-    assert np.allclose(back.f_l, tables.f_l)
+    assert np.array_equal(back.m_l, tables.m_l)
+    assert np.array_equal(back.f_l, tables.f_l)
+
+
+def test_generated_tables_equal_their_reread_copy(tmp_path):
+    # benign losses 0.3 and 0.1 over 2 gammas x 2 seeds: averaging over the
+    # seeds alone gives 0.2, over every gamma x seed cell 0.19999999999999998
+    def runner(_eps, gamma, seed):
+        if gamma is None:
+            return 0.3 if seed == 0 else 0.1
+        return 0.5 + gamma + 0.1 * seed
+
+    tables = generate_loss_tables([0.5, 1.0], [0.5, 1.0], [0, 1], runner)
+    back = read_tables(write_tables(tmp_path / "lt.csv", tables))
+    assert back.epsilon_grid == tables.epsilon_grid
+    assert np.array_equal(back.m_l, tables.m_l)
+    assert np.array_equal(back.f_l, tables.f_l)
 
 
 # cli ------------------------------------------------------------------------
@@ -163,6 +178,48 @@ def test_cli_usage_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("federation.participants = 5000\n")
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize(
+    "line,path",
+    [
+        pytest.param("optimizer.early_stop = nope", "optimizer.early_stop", id="early_stop"),
+        pytest.param("optimizer.batch_size = 0", "optimizer: batch_size", id="batch_size"),
+        pytest.param("optimizer.patience = -1", "optimizer: patience", id="patience"),
+        pytest.param("privacy.stop_threshold = -0.1", "privacy.stop_threshold", id="stop_threshold"),
+        pytest.param(
+            "detector.kind = accuracy\ndata.server_split = 0", "data.server_split", id="server_split"
+        ),
+        pytest.param(
+            "detector.kind = mix\ndata.server_split = 0.001", "data.server_split", id="holdout_rounds_to_zero"
+        ),
+        pytest.param("data.server_split = 1.5", "data.server_split", id="server_split_range"),
+        pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
+    ],
+)
+def test_cli_invalid_config_fails_at_parse_time(tmp_path, capsys, line, path):
+    cfg = _cfg_file(tmp_path, line + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_preset_continues_past_a_diverging_cell(tmp_path, monkeypatch, capsys):
+    small = {
+        "data.n_samples": 200,
+        "federation.nodes": 10,
+        "federation.participants": 4,
+        "federation.episodes": 1,
+        "privacy.stop_threshold": 0.5,
+    }
+    cells = [("diverges", {**small, "optimizer.learning_rate": 1e100}), ("fine", small)]
+    monkeypatch.setitem(presets.PRESETS, "pair", lambda: cells)
+    with np.errstate(all="ignore"):
+        code = main(["train", "--preset", "pair", "--out", str(tmp_path)])
+    assert code == 2
+    assert "diverges: diverged at step 1" in capsys.readouterr().out
+    assert not (tmp_path / "diverges" / "summary.csv").exists()
+    assert (tmp_path / "fine" / "summary.csv").exists()
 
 
 def test_cli_unknown_preset_rejected():

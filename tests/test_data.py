@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from dpfedsim.data import (
     EXPECTED_HEADER,
     BatchSampler,
+    Dataset,
     IngestionError,
-    Sample,
     ingest_csv,
-    iter_all_samples,
     load_cache,
     partition,
     save_cache,
     split_holdout,
-    stack_samples,
     synthesize,
 )
 
@@ -55,14 +53,13 @@ def test_degenerate_column_normalizes_to_zero(tmp_path):
     ]
     samples = ingest_csv(_write_csv(tmp_path, rows))
     # feature order: reactive, voltage, intensity, sub1, sub2, sub3
-    sub1 = [s.features[3] for s in samples]
-    assert sub1 == [0.0, 0.0, 0.0]
+    assert samples.x[:, 3].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_normalized_columns_span_unit_interval(tmp_path):
     rows = [_row([1 + i, 0.1 * i, 230 + i, 10 + i, i, 1 + i, 17 - i]) for i in range(4)]
     samples = ingest_csv(_write_csv(tmp_path, rows))
-    x, y = stack_samples(samples)
+    x, y = samples.x, samples.y
     assert np.allclose(x.min(axis=0), 0.0)
     assert np.allclose(x.max(axis=0), 1.0)
     assert y.min() == 0.0 and y.max() == 1.0
@@ -99,36 +96,34 @@ def test_cache_roundtrip(tmp_path):
     path = _write_csv(tmp_path, rows)
     first = ingest_csv(path, cache_dir=tmp_path / "cache")
     cached = ingest_csv(path, cache_dir=tmp_path / "cache")
-    assert len(first) == len(cached)
-    for a, b in zip(first, cached):
-        assert np.array_equal(a.features, b.features) and a.target == b.target
+    assert np.array_equal(first.x, cached.x) and np.array_equal(first.y, cached.y)
 
 
 def test_save_load_cache(tmp_path):
     samples = synthesize(10, seed=3)
     save_cache(tmp_path / "c.npz", samples)
     loaded = load_cache(tmp_path / "c.npz")
-    assert all(np.array_equal(a.features, b.features) for a, b in zip(samples, loaded))
+    assert np.array_equal(samples.x, loaded.x) and np.array_equal(samples.y, loaded.y)
 
 
 def test_synthesize_deterministic():
     a = synthesize(100, seed=1)
     b = synthesize(100, seed=1)
-    assert all(np.array_equal(x.features, y.features) and x.target == y.target for x, y in zip(a, b))
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 def test_synthesize_seed_changes_output():
     a = synthesize(100, seed=1)
     b = synthesize(100, seed=2)
-    assert any(not np.array_equal(x.features, y.features) for x, y in zip(a, b))
+    assert not np.array_equal(a.x, b.x)
 
 
 def test_synthesize_zero_noise_is_exact_linear():
     from dpfedsim.data import SYNTH_INTERCEPT, SYNTH_WEIGHTS
 
     samples = synthesize(50, seed=4, noise_scale=0.0)
-    for s in samples:
-        assert s.target == pytest.approx(float(s.features @ SYNTH_WEIGHTS + SYNTH_INTERCEPT))
+    for features, target in zip(samples.x, samples.y):
+        assert target == pytest.approx(float(features @ SYNTH_WEIGHTS + SYNTH_INTERCEPT))
 
 
 def test_synthesize_rejects_nonpositive():
@@ -163,8 +158,13 @@ def test_partition_too_few_samples():
         partition(synthesize(5, seed=0), 6, seed=1)
 
 
-def _key(sample):
-    return (tuple(sample.features.tolist()), sample.target)
+def _rows(*datasets):
+    """Every (features, target) row of the datasets, as hashable tuples."""
+    return [
+        (tuple(features.tolist()), float(target))
+        for d in datasets
+        for features, target in zip(d.x, d.y)
+    ]
 
 
 @given(n=st.integers(20, 80), k=st.integers(1, 7), seed=st.integers(0, 50))
@@ -172,7 +172,8 @@ def _key(sample):
 def test_partition_preserves_multiset(n, k, seed):
     data = synthesize(n, seed=9)
     shards = partition(data, k, seed=seed)
-    assert sorted(map(_key, iter_all_samples(shards))) == sorted(map(_key, data))
+    pooled = [d for shard in shards for d in (shard.train, shard.validation)]
+    assert sorted(_rows(*pooled)) == sorted(_rows(data))
 
 
 def test_partition_deterministic():
@@ -180,21 +181,21 @@ def test_partition_deterministic():
     a = partition(data, 7, seed=3)
     b = partition(data, 7, seed=3)
     for sa, sb in zip(a, b):
-        assert list(map(_key, sa.train)) == list(map(_key, sb.train))
-        assert list(map(_key, sa.validation)) == list(map(_key, sb.validation))
+        assert _rows(sa.train) == _rows(sb.train)
+        assert _rows(sa.validation) == _rows(sb.validation)
 
 
 def test_train_validation_disjoint_when_unique():
     data = synthesize(50, seed=11)  # continuous features: samples unique a.s.
     for shard in partition(data, 5, seed=1):
-        assert not set(map(_key, shard.train)) & set(map(_key, shard.validation))
+        assert not set(_rows(shard.train)) & set(_rows(shard.validation))
 
 
 def test_split_holdout_sizes():
     data = synthesize(100, seed=1)
     hold, rest = split_holdout(data, 0.02, seed=0)
     assert len(hold) == 2 and len(rest) == 98
-    assert sorted(map(_key, hold + rest)) == sorted(map(_key, data))
+    assert sorted(_rows(hold, rest)) == sorted(_rows(data))
 
 
 def test_batch_sampler_exact_batches():
@@ -215,8 +216,22 @@ def test_batch_sampler_deterministic():
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
-def test_sample_validates_shape_and_finiteness():
+def test_dataset_validates_shape_and_finiteness():
     with pytest.raises(ValueError):
-        Sample(features=np.ones(5), target=0.1)
+        Dataset(np.ones((3, 5)), np.zeros(3))
     with pytest.raises(ValueError):
-        Sample(features=np.full(6, np.nan), target=0.1)
+        Dataset(np.ones((3, 6)), np.zeros(2))
+    with pytest.raises(ValueError):
+        Dataset(np.full((1, 6), np.nan), np.zeros(1))
+    with pytest.raises(ValueError):
+        Dataset(np.ones((1, 6)), np.array([np.inf]))
+    data = Dataset(np.ones((4, 6)), np.arange(4.0))
+    assert len(data) == 4
+    assert data.take([3, 1]).y.tolist() == [3.0, 1.0]
+
+
+def test_load_cache_rejects_non_finite(tmp_path):
+    path = tmp_path / "bad.npz"
+    np.savez(path, version=1, features=np.full((2, 6), np.nan), target=np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_cache(path)

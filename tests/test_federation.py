@@ -7,7 +7,7 @@ from dpfedsim.adversary import AttackConfig
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition, synthesize
 from dpfedsim.detection import DetectorConfig
-from dpfedsim.experiment import build_attacker, prepare_state
+from dpfedsim.experiment import build_attacker, prepare_state, run_training
 from dpfedsim.federation import (
     Attacker,
     EmptyAggregationError,
@@ -15,7 +15,6 @@ from dpfedsim.federation import (
     FederationState,
     aggregate,
     run_episode,
-    run_training,
     select_nodes,
 )
 from dpfedsim.model import ModelUpdate, OptimizerConfig
@@ -200,34 +199,39 @@ def test_accuracy_detector_requires_server_validation():
 
 def test_training_single_episode():
     cfg = _fed_cfg(episodes=1)
-    _, records = run_training(cfg, partition(synthesize(200, seed=0), cfg.k, seed=0))
-    assert len(records) == 1
+    records, status = run_training(_state(cfg), cfg)
+    assert len(records) == 1 and status == "ok"
 
 
 def test_training_stops_with_ledger():
     # delta 0.001 per episode and threshold 0.0025: stop after the third
     cfg = _fed_cfg(episodes=10, stop_threshold=0.0025)
-    _, records = run_training(cfg, partition(synthesize(200, seed=0), cfg.k, seed=0))
-    assert len(records) == 3
+    records, status = run_training(_state(cfg), cfg)
+    assert len(records) == 3 and status == "ok"
     assert records[-1].delta_cumulative > cfg.stop_threshold
 
 
 def test_training_bitwise_reproducible():
     cfg = _fed_cfg(episodes=3)
-    shards = partition(synthesize(200, seed=0), cfg.k, seed=0)
-    _, a = run_training(cfg, shards)
-    _, b = run_training(cfg, shards)
+    a, _ = run_training(_state(cfg), cfg)
+    b, _ = run_training(_state(cfg), cfg)
     assert len(a) == len(b)
     assert all(x.same_outcome(y) for x, y in zip(a, b))
 
 
 def test_training_parallel_equals_serial():
-    shards = partition(synthesize(200, seed=0), 10, seed=0)
     serial_cfg = _fed_cfg(episodes=3, workers=0)
     parallel_cfg = _fed_cfg(episodes=3, workers=4)
-    _, a = run_training(serial_cfg, shards)
-    _, b = run_training(parallel_cfg, shards)
+    a, _ = run_training(_state(serial_cfg), serial_cfg)
+    b, _ = run_training(_state(parallel_cfg), parallel_cfg)
     assert all(x.same_outcome(y) for x, y in zip(a, b))
+
+
+def test_training_reports_empty_aggregation_status():
+    cfg = _fed_cfg(n=3, episodes=5)
+    detector = DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0)  # flags every update
+    records, status = run_training(_state(cfg), cfg, None, detector)
+    assert records == [] and status == "aborted_empty_aggregation_episode_1"
 
 
 def test_attacked_run_with_gamma_zero_equals_benign():
@@ -242,14 +246,14 @@ def test_attacked_run_with_gamma_zero_equals_benign():
     }
     cfg_b = ExperimentConfig.from_dict(base)
     state_b, fed_b = prepare_state(cfg_b)
-    _, benign = run_training(fed_b, state_b.shards, state=state_b)
+    benign, _ = run_training(state_b, fed_b)
 
     cfg_a = ExperimentConfig.from_dict(
         {**base, "attack.mode": "mpelm", "attack.m": 3, "attack.gamma_fixed": 0.0}
     )
     state_a, fed_a = prepare_state(cfg_a)
     attacker = build_attacker(cfg_a)
-    _, attacked = run_training(fed_a, state_a.shards, attacker=attacker, state=state_a)
+    attacked, _ = run_training(state_a, fed_a, attacker)
 
     assert len(benign) == len(attacked)
     assert all(x.same_outcome(y) for x, y in zip(benign, attacked))
@@ -259,7 +263,7 @@ def test_rmd_nodes_submit_without_training():
     cfg = _fed_cfg(k=5, n=5, episodes=1)
     shards = partition(synthesize(100, seed=1), cfg.k, seed=1)
     attacker = Attacker("rmd", AttackConfig(compromised=frozenset({0})))
-    _, records = run_training(cfg, shards, attacker=attacker)
+    records, _ = run_training(FederationState.create(cfg, shards), cfg, attacker)
     rec = records[0]
     assert rec.active_compromised == (0,)
     # the compromised submission reflects the clip-scaled random vector,
@@ -277,7 +281,7 @@ def test_adaptive_attacker_steps_only_when_active():
     cfg = _fed_cfg(k=20, n=3, episodes=5)
     shards = partition(synthesize(300, seed=2), cfg.k, seed=2)
     attacker = Attacker("mpelm", AttackConfig(compromised=frozenset({0}), gamma0=0.7))
-    _, records = run_training(cfg, shards, attacker=attacker)
+    records, _ = run_training(FederationState.create(cfg, shards), cfg, attacker)
     active_episodes = [r.episode for r in records if r.active_compromised]
     assert [row["episode"] for row in attacker.trace] == active_episodes
     assert len(attacker.state.episodic_losses) == len(active_episodes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfedsim.data import partition, stack_samples, synthesize
+from dpfedsim.data import partition, synthesize
 from dpfedsim.model import (
     Architecture,
     OptimizerConfig,
@@ -65,8 +65,8 @@ def test_forward_dimension_mismatch():
 
 
 def test_mse_zero_when_predictions_match():
-    samples = synthesize(20, seed=3, noise_scale=0.0)
-    x, y = stack_samples(samples)
+    data = synthesize(20, seed=3, noise_scale=0.0)
+    x, y = data.x, data.y
     params = np.zeros(ARCH.n_params)
     # build labels equal to model output (all zeros)
     assert mse_loss(ARCH, params, (x, np.zeros(len(y)))) == 0.0
@@ -196,12 +196,12 @@ def test_local_train_early_stop_halts():
 
 
 def test_local_train_divergence_carries_step():
-    from dpfedsim.data import NodeShard, Sample
+    from dpfedsim.data import Dataset, NodeShard
 
     # gradients explode under an absurd rate; only the output bias stays
     # live once the hidden units die, oscillating and growing each step
-    samples = tuple(Sample(features=np.ones(6), target=0.0) for _ in range(40))
-    shard = NodeShard(node_id=0, train=samples, validation=samples[:5])
+    data = Dataset(np.ones((40, 6)), np.zeros(40))
+    shard = NodeShard(node_id=0, train=data, validation=data.take(slice(0, 5)))
     params = np.full(ARCH.n_params, 50.0)
     cfg = OptimizerConfig(kind="mbgd", learning_rate=1e100, local_steps=8, early_stop=False)
     with pytest.raises(TrainingDivergedError) as err:
