@@ -18,13 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rdp
-from .adversary import adversarial_mu
+from .adversary import adversarial_mu, inject, rmd_update, stopped_nodes
 from .config import ExperimentConfig
 from .detection import DetectorConfig, Verdict, detection_accuracy, evaluate, loss_test_rate, norm_rate
 from .experiment import build_attacker, final_loss_runner, prepare_state, run, run_training
-from .model import Architecture, ModelUpdate, forward, gradient, init_params
-from .privacy import PrivacySpec, add_noise, calibrate_sigma
-from .rng import substream
+from .model import Architecture, ModelUpdate, forward, gradient, init_params, local_train
+from .privacy import PrivacySpec, add_noise, calibrate_sigma, clip
+from .rng import substream, substream_seed
 
 CRITERIA: list[tuple[int, str, Callable]] = []
 
@@ -452,29 +452,76 @@ def _detector_oracles(_workdir) -> tuple[bool, str]:
 
 # 12 ----------------------------------------------------------------
 
-@criterion(12, "runs are byte-identical across repeats and worker parallelism")
+def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, int]]]:
+    """Replay a run one node at a time: (submissions checked, mismatches).
+
+    Every submission of every episode is recomputed alone, from the
+    global model that episode started from and the same substreams: a
+    one-shard local_train, then clip and noise (inject for compromised
+    nodes), or the rmd draw. A mismatch is an (episode, node) pair whose
+    delta differs in any bit from the run's.
+    """
+    state, fed_cfg = prepare_state(cfg)
+    attacker = build_attacker(cfg)
+    params = state.global_params.copy()
+    records, _status = run_training(state, fed_cfg, attacker, cfg.detector_config())
+    gamma_current = {row["episode"]: row["gamma_current"] for row in attacker.trace} if attacker else {}
+    spec, seed = fed_cfg.privacy, fed_cfg.seed
+    checked, mismatches = 0, []
+    for rec in records:
+        t = rec.episode
+        paused = stopped_nodes(rec.active_compromised, attacker.config) if attacker else frozenset()
+        for update in rec.submitted:
+            i = update.node_id
+            compromised = i in rec.active_compromised
+            if compromised and attacker.kind == "rmd":
+                expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i, episode=t)
+            else:
+                raw = local_train(
+                    state.arch, params, state.shards[i], fed_cfg.optimizer,
+                    substream_seed(seed, "train", t, i), node_id=i, episode=t,
+                )
+                clipped, noise_rng = clip(raw, spec.clip_c), substream(seed, "noise", t, i)
+                if not compromised:
+                    expected = add_noise(clipped, spec, noise_rng)
+                else:
+                    gamma = rec.gamma_episode
+                    if gamma == 0.0 and i not in paused and attacker.adaptive:
+                        gamma = gamma_current[t]
+                    expected = inject(clipped, spec, attacker.config, gamma, noise_rng)
+            checked += 1
+            if not np.array_equal(expected.delta, update.delta):
+                mismatches.append((t, i))
+        params = rec.global_params_after
+    return checked, mismatches
+
+
+@criterion(12, "runs are byte-identical across repeats and against per-node training")
 def _determinism(workdir) -> tuple[bool, str]:
     from . import presets
 
     name, overrides = presets.expand("smoke")[0]
+    cfg = ExperimentConfig.from_dict({**overrides, "seed": 5})
     outs = []
-    for label, extra in (("a", {}), ("b", {}), ("par", {"federation.workers": 4})):
-        cfg = ExperimentConfig.from_dict({**overrides, **extra, "seed": 5})
+    for label in ("a", "b"):
         bundle = run(cfg, Path(workdir) / f"det-{label}")
         if bundle.status != "ok":
             return False, f"run {label} ended with status {bundle.status}"
         outs.append(bundle)
 
-    mismatches = []
-    for key in outs[0].csv_paths:
-        blobs = [b.csv_paths[key].read_bytes() for b in outs]
-        if not (blobs[0] == blobs[1] == blobs[2]):
-            mismatches.append(key)
-    ok = not mismatches
-    detail = "episodes/ledger/attack/detection/summary CSVs identical across serial x2 + 4 workers"
+    mismatches = [
+        key for key in outs[0].csv_paths
+        if outs[0].csv_paths[key].read_bytes() != outs[1].csv_paths[key].read_bytes()
+    ]
     if mismatches:
-        detail = f"mismatched CSVs: {mismatches}"
-    return ok, detail
+        return False, f"mismatched CSVs: {mismatches}"
+    checked, differing = _per_node_mismatches(cfg)
+    if differing:
+        return False, f"{len(differing)} of {checked} submissions differ from per-node training: {differing[:5]}"
+    return True, (
+        "episodes/ledger/attack/detection/summary CSVs identical across serial x2; "
+        f"all {checked} submissions equal per-node training"
+    )
 
 
 # Runner -------------------------------------------------------------

@@ -13,7 +13,7 @@ update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,7 +122,7 @@ def inject(
     """
     mu = adversarial_mu(cfg.theta, gamma_episode, spec.noise_std)
     noise = mu + spec.noise_std * rng.standard_normal(clipped.delta.shape)
-    return ModelUpdate(delta=clipped.delta + noise, node_id=clipped.node_id, episode=clipped.episode)
+    return replace(clipped, delta=clipped.delta + noise)
 
 
 def episodic_loss(

@@ -120,7 +120,7 @@ def _cmd_train(args, forced_mode=None) -> int:
             try:
                 worst = max(worst, _run_single(cfg, out_root / name))
             except TrainingDivergedError as exc:  # one diverging cell must not end the grid
-                print(f"{out_root / name}: diverged at step {exc.step}")
+                print(f"{out_root / name}: diverged at episode {exc.episode}, node {exc.node_id}, step {exc.step}")
                 worst = EXIT_RUNTIME
         return worst
     overrides = {}

@@ -37,7 +37,6 @@ DEFAULTS: dict[str, object] = {
     "federation.nodes": 100,
     "federation.participants": 30,
     "federation.episodes": 30,
-    "federation.workers": 0,
     "privacy.epsilon": 0.7,
     "privacy.delta": 0.001,
     "privacy.clip": 1.0,
@@ -216,7 +215,6 @@ class ExperimentConfig:
             privacy=self.privacy_spec(),
             optimizer=self.optimizer_config(),
             stop_threshold=self.values["privacy.stop_threshold"],
-            workers=self.values["federation.workers"],
         )
 
     def detector_config(self) -> DetectorConfig:

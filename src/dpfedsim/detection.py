@@ -3,8 +3,8 @@
 Three filters: norm detection (squared L2 distance to the leave-one-out
 mean), accuracy detection (validation-loss difference between candidate
 global models), and mix (union of both). Every operation is a pure
-function of the episode's update list, so verdicts can be computed
-concurrently per node.
+function of the episode's update list. evaluate sums the episode's
+updates once and derives all n leave-one-out standards from that total.
 """
 
 from __future__ import annotations
@@ -45,22 +45,32 @@ class Verdict:
         return self.rate < 1.0
 
 
-def comparison_standard(updates: Sequence[ModelUpdate], i: int) -> np.ndarray:
-    """Mean of all updates except the i-th (leave-one-out reference)."""
+def comparison_standard(updates: Sequence[ModelUpdate], i) -> np.ndarray:
+    """Mean of all updates except the i-th (leave-one-out reference).
+
+    ``i`` indexes the update list like an array axis, so
+    ``comparison_standard(updates, slice(None))`` gives all n standards as
+    an (n, q) stack from one sum, each row equal to its own call.
+    """
     if len(updates) < 2:
         raise ValueError("comparison standard needs at least two updates")
-    total = np.sum([u.delta for u in updates], axis=0)
-    return (total - updates[i].delta) / (len(updates) - 1)
+    deltas = np.array([u.delta for u in updates])
+    total = np.sum(deltas, axis=0)
+    return (total - deltas[i]) / (len(updates) - 1)
 
 
-def norm_rate(updates: Sequence[ModelUpdate], i: int, cfg: DetectorConfig) -> Verdict:
+def norm_rate(
+    updates: Sequence[ModelUpdate], i: int, cfg: DetectorConfig, standard: np.ndarray = None
+) -> Verdict:
     """Rate the i-th update by squared distance to its comparison standard.
 
     e1 is the distance relative to the standard's squared norm, capped at
     d_max; the rate is clamp(1 - max(0, e1 - beta1), 0, 1) and anything
-    below 1 counts as flagged.
+    below 1 counts as flagged. ``standard`` is the i-th comparison
+    standard when the caller already holds it.
     """
-    standard = comparison_standard(updates, i)
+    if standard is None:
+        standard = comparison_standard(updates, i)
     diff = updates[i].delta - standard
     d = float(diff @ diff)
     st_sq = float(standard @ standard)
@@ -108,14 +118,17 @@ def accuracy_rate(
     arch: Architecture,
     global_params: np.ndarray,
     validation,
+    standard: np.ndarray = None,
 ) -> Verdict:
     """Rate the i-th update by a loss test against its comparison standard.
 
     Two candidate globals are built (global + update, global + standard)
     and evaluated on the server validation set; the loss-test rule turns
-    the pair of losses into a rate.
+    the pair of losses into a rate. ``standard`` is the i-th comparison
+    standard when the caller already holds it.
     """
-    standard = comparison_standard(updates, i)
+    if standard is None:
+        standard = comparison_standard(updates, i)
     loss_i = mse_loss(arch, global_params + updates[i].delta, validation)
     loss_st = mse_loss(arch, global_params + standard, validation)
     rate, e2 = loss_test_rate(loss_i, loss_st, cfg)
@@ -140,18 +153,16 @@ def evaluate(
     """
     if cfg.kind == "off":
         return [Verdict(node_id=u.node_id, rate=1.0) for u in updates]
+    standards = comparison_standard(updates, slice(None))
     if cfg.kind == "norm":
-        return [norm_rate(updates, i, cfg) for i in range(len(updates))]
-    if cfg.kind == "accuracy":
-        return [
-            accuracy_rate(updates, i, cfg, arch, global_params, validation)
-            for i in range(len(updates))
-        ]
-    norm_v = [norm_rate(updates, i, cfg) for i in range(len(updates))]
+        return [norm_rate(updates, i, cfg, st) for i, st in enumerate(standards)]
     acc_v = [
-        accuracy_rate(updates, i, cfg, arch, global_params, validation)
-        for i in range(len(updates))
+        accuracy_rate(updates, i, cfg, arch, global_params, validation, st)
+        for i, st in enumerate(standards)
     ]
+    if cfg.kind == "accuracy":
+        return acc_v
+    norm_v = [norm_rate(updates, i, cfg, st) for i, st in enumerate(standards)]
     return [
         Verdict(
             node_id=nv.node_id,

@@ -267,6 +267,14 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, status: str, started: floa
         f"started_unix = {started:.3f}",
         f"duration_s = {time.time() - started:.3f}",
         f"python = {sys.version.split()[0]}",
+    ]
+    if cfg["privacy.epsilon"] >= 1:
+        lines.append(
+            f"# privacy note: epsilon = {cfg['privacy.epsilon']} >= 1; the classic calibration "
+            "sigma = sqrt(2 ln(1.25/delta))/epsilon is proven only for epsilon < 1 "
+            "(Dwork & Roth 2014, Thm A.1)"
+        )
+    lines += [
         "",
         "# resolved configuration (defaults filled in)",
     ]

@@ -8,13 +8,13 @@ of all nodes' validation splits.
 
 Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose, episode, node), and updates are combined in
-ascending node-id order, so serial and parallel executions produce
-bit-identical results.
+ascending node-id order. The episode's nodes train together as one
+stack (model.train_stack), and each node's update is bitwise what it
+would be if that node trained alone with model.local_train.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +23,8 @@ import numpy as np
 from . import adversary as adv
 from . import detection as det
 from .data import NodeShard, pooled_validation
-from .model import Architecture, ModelUpdate, OptimizerConfig, init_params, local_train, mse_loss
+from .model import Architecture, ModelUpdate, OptimizerConfig, init_params, mse_loss, train_stack
+from .model import local_train  # noqa: F401  (bound here for perfbench/tracer.py's hooks)
 from .privacy import PrivacyLedger, PrivacySpec, add_noise, clip
 from .rng import substream, substream_seed
 
@@ -45,7 +46,6 @@ class FederationConfig:
     privacy: PrivacySpec = field(default_factory=lambda: PrivacySpec(epsilon=0.7))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     stop_threshold: float = 0.01
-    workers: int = 0
 
     def __post_init__(self):
         if not 1 <= self.n <= self.k:
@@ -145,39 +145,17 @@ def aggregate(global_params: np.ndarray, updates: Sequence[ModelUpdate]) -> np.n
     return global_params + total / len(updates)
 
 
-def _node_update(
-    state: FederationState,
+def _submission(
+    raw: ModelUpdate,
     cfg: FederationConfig,
-    node_id: int,
     attacker: Optional["Attacker"],
     node_gamma: dict[int, float],
 ) -> ModelUpdate:
-    """Train, clip, and noise one node's submission for the current episode."""
-    t = state.episode
-    compromised = attacker is not None and node_id in attacker.config.compromised
-
-    if compromised and attacker.kind == "rmd":
-        return adv.rmd_update(
-            cfg.privacy,
-            substream(cfg.seed, "rmd", t, node_id),
-            state.arch.n_params,
-            node_id=node_id,
-            episode=t,
-        )
-
-    raw = local_train(
-        state.arch,
-        state.global_params,
-        state.shards[node_id],
-        cfg.optimizer,
-        substream_seed(cfg.seed, "train", t, node_id),
-        node_id=node_id,
-        episode=t,
-    )
+    """Clip and noise one trained update (adversarially for compromised nodes)."""
     clipped = clip(raw, cfg.privacy.clip_c)
-    noise_rng = substream(cfg.seed, "noise", t, node_id)
-    if compromised:
-        return adv.inject(clipped, cfg.privacy, attacker.config, node_gamma[node_id], noise_rng)
+    noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
+    if attacker is not None and raw.node_id in attacker.config.compromised:
+        return adv.inject(clipped, cfg.privacy, attacker.config, node_gamma[raw.node_id], noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
 
 
@@ -218,15 +196,29 @@ def run_episode(
         else:
             node_gamma = {i: gamma_episode for i in active_compromised}
 
-    def work(node_id: int) -> ModelUpdate:
-        return _node_update(state, cfg, node_id, attacker, node_gamma)
-
-    if cfg.workers and cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            submitted = list(pool.map(work, selected))
-    else:
-        submitted = [work(node_id) for node_id in selected]
-    submitted.sort(key=lambda u: u.node_id)
+    # rmd nodes submit a random vector instead of training; every other
+    # node, compromised or not, trains in one stack
+    rmd = set(active_compromised) if attacker and attacker.kind == "rmd" else set()
+    training = [i for i in selected if i not in rmd]
+    trained = train_stack(
+        state.arch,
+        state.global_params,
+        [state.shards[i] for i in training],
+        cfg.optimizer,
+        [substream_seed(cfg.seed, "train", t, i) for i in training],
+        node_ids=training,
+        episode=t,
+    )
+    raw = dict(zip(training, trained))
+    submitted = []
+    for i in selected:
+        if i in rmd:
+            submitted.append(
+                adv.rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), state.arch.n_params,
+                               node_id=i, episode=t)
+            )
+        else:
+            submitted.append(_submission(raw[i], cfg, attacker, node_gamma))
 
     flagged: frozenset[int] = frozenset()
     verdicts: list[det.Verdict] = []

@@ -2,13 +2,15 @@
 
 Parameters live in one float64 vector with fixed layer-major layout
 (W1, b1, W2, b2, W3, b3), so model updates, clipping, noise, and
-aggregation are plain vector arithmetic. All functions here are pure;
-training many nodes concurrently is safe.
+aggregation are plain vector arithmetic. forward, mse_loss and gradient
+also take a stack of parameter vectors with a matching stack of batches,
+which is how train_stack trains all of an episode's nodes at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +22,14 @@ CHECKPOINT_VERSION = 1
 class TrainingDivergedError(RuntimeError):
     """Raised when local training produces a non-finite loss or parameters."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite values during local training at step {step}")
+    def __init__(self, step: int, node_id: int, episode: int):
+        super().__init__(
+            f"non-finite values during local training at episode {episode}, "
+            f"node {node_id}, step {step}"
+        )
         self.step = step
+        self.node_id = node_id
+        self.episode = episode
 
 
 @dataclass(frozen=True)
@@ -99,63 +106,191 @@ def init_params(arch: Architecture, rng: np.random.Generator) -> np.ndarray:
 
 
 def unpack(arch: Architecture, params: np.ndarray):
-    if params.shape != (arch.n_params,):
+    """(W, b) per layer; leading axes of a parameter stack carry through."""
+    if params.shape[-1:] != (arch.n_params,):
         raise ValueError(f"expected parameter vector of length {arch.n_params}, got {params.shape}")
+    lead = params.shape[:-1]
     layers = []
     for w, b, fan_in, fan_out in arch.slices():
-        layers.append((params[w].reshape(fan_in, fan_out), params[b]))
+        layers.append((params[..., w].reshape(lead + (fan_in, fan_out)), params[..., b]))
     return layers
 
 
 def forward(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
-    """Predictions for a batch, given as an (X, y) pair."""
+    """Predictions for a batch, given as an (X, y) pair.
+
+    A stack of g parameter vectors (g, q) takes a stack of g batches
+    (g, b, 6) and gives (g, b) predictions, each row equal to its own
+    unstacked call.
+    """
     x, _ = batch
     layers = unpack(arch, params)
     a = x
     for w, b in layers[:-1]:
-        a = np.maximum(0.0, a @ w + b)
+        a = np.maximum(0.0, a @ w + b[..., None, :])
     w_out, b_out = layers[-1]
-    return (a @ w_out + b_out)[:, 0]
+    return (a @ w_out + b_out[..., None, :])[..., 0]
 
 
-def mse_loss(arch: Architecture, params: np.ndarray, data) -> float:
-    """Mean squared error over an (X, y) pair; errors on an empty set."""
+def mse_loss(arch: Architecture, params: np.ndarray, data):
+    """Mean squared error over an (X, y) pair; errors on an empty set.
+
+    A float for one parameter vector, one loss per row for a stack.
+    """
     x, y = data
-    if len(y) == 0:
+    if y.shape[-1] == 0:
         raise ValueError("cannot evaluate loss on empty data")
     residual = forward(arch, params, (x, y)) - y
-    return float(np.mean(residual**2))
+    loss = np.mean(residual**2, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def gradient(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
-    """Exact backpropagation gradient of mse_loss over an (X, y) batch."""
+    """Exact backpropagation gradient of mse_loss over an (X, y) batch.
+
+    Stacks like forward: (g, q) parameters and (g, b, 6) batches give
+    (g, q) gradients, each row bitwise equal to its own unstacked call.
+    """
     x, y = batch
-    if len(y) == 0:
+    if y.shape[-1] == 0:
         raise ValueError("cannot take gradient over an empty batch")
     layers = unpack(arch, params)
 
     activations = [x]
     a = x
     for w, b in layers[:-1]:
-        a = np.maximum(0.0, a @ w + b)
+        a = np.maximum(0.0, a @ w + b[..., None, :])
         activations.append(a)
     w_out, b_out = layers[-1]
-    pred = (a @ w_out + b_out)[:, 0]
+    pred = (a @ w_out + b_out[..., None, :])[..., 0]
 
     grad = np.zeros_like(params)
+    lead = params.shape[:-1]
     slices = arch.slices()
 
     # dL/dpred for mean((pred - y)^2)
-    delta = (2.0 / len(y)) * (pred - y)[:, None]
+    delta = (2.0 / y.shape[-1]) * (pred - y)[..., None]
     for i in range(len(layers) - 1, -1, -1):
         w_slice, b_slice, fan_in, fan_out = slices[i]
         w, _ = layers[i]
         a_prev = activations[i]
-        grad[w_slice] = (a_prev.T @ delta).ravel()
-        grad[b_slice] = delta.sum(axis=0)
+        grad[..., w_slice] = (a_prev.swapaxes(-1, -2) @ delta).reshape(lead + (-1,))
+        grad[..., b_slice] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ w.T) * (activations[i] > 0)
+            delta = (delta @ w.swapaxes(-1, -2)) * (activations[i] > 0)
     return grad
+
+
+def _by_length(pairs) -> list[list[int]]:
+    """Positions of the (X, y) pairs grouped by row count, first-seen order.
+
+    Pairs of one length stack into a (g, b, 6) batch; ragged pairs are
+    never padded, since padding would change the BLAS summation order.
+    """
+    groups: dict[int, list[int]] = {}
+    for pos, (_x, y) in enumerate(pairs):
+        groups.setdefault(len(y), []).append(pos)
+    return list(groups.values())
+
+
+def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+
+
+def train_stack(
+    arch: Architecture,
+    global_params: np.ndarray,
+    shards: Sequence[NodeShard],
+    cfg: OptimizerConfig,
+    seeds: Sequence[int],
+    *stream_tags,
+    node_ids: Sequence[int],
+    episode: int = 0,
+) -> list[ModelUpdate]:
+    """Local optimization of several nodes from one global model, together.
+
+    Node j trains on shards[j] with batches from its own sampler, keyed
+    by (seeds[j], *stream_tags), and its result is bitwise what it would
+    be alone: the parameters form an (n, q) stack, each step's batches
+    and validation sets are stacked by length, and per-node masks retire
+    nodes that stop early. Each node takes up to cfg.local_steps
+    optimizer steps; with early stopping on, a node halts once its
+    validation loss has failed to improve for cfg.patience consecutive
+    evaluations (a node with an empty validation split never stops
+    early).
+
+    Raises TrainingDivergedError for the first node, in the given order,
+    whose weights or validation loss become non-finite, at that node's
+    own step.
+    """
+    n = len(shards)
+    samplers = [
+        BatchSampler.for_shard(shard, cfg.batch_size, seed, *stream_tags)
+        for shard, seed in zip(shards, seeds)
+    ]
+    validation = [
+        (s.validation.x, s.validation.y) if cfg.early_stop and len(s.validation) else None
+        for s in shards
+    ]
+    w = np.tile(global_params, (n, 1))
+
+    # Adamax state (unused for mbgd)
+    m = np.zeros_like(w)
+    u = np.zeros_like(w)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    best_val = np.full(n, np.inf)
+    stale = np.zeros(n, dtype=int)
+    steps = np.zeros(n, dtype=int)
+    diverged_at = np.zeros(n, dtype=int)  # step of divergence, 0 for none
+    active = np.ones(n, dtype=bool)
+
+    def diverge(nodes: np.ndarray, step: int) -> None:
+        # nodes after the first diverging one can no longer decide the error
+        diverged_at[nodes] = step
+        active[nodes.min():] = False
+
+    for step in range(1, cfg.local_steps + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        batches = [samplers[j].next_batch() for j in idx]
+        g = np.empty((idx.size, w.shape[1]))
+        for rows in _by_length(batches):
+            g[rows] = gradient(arch, w[idx[rows]], _stack([batches[r] for r in rows]))
+        if cfg.kind == "mbgd":
+            w[idx] = w[idx] - cfg.learning_rate * g
+        else:
+            m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
+            u[idx] = np.maximum(beta2 * u[idx], np.abs(g))
+            w[idx] = w[idx] - (cfg.learning_rate / (1.0 - beta1**step)) * m[idx] / (u[idx] + eps)
+        steps[idx] = step
+
+        finite = np.isfinite(w[idx]).all(axis=1)
+        if not finite.all():
+            diverge(idx[~finite], step)
+
+        evaluated = [j for j in idx if active[j] and validation[j] is not None]
+        for group in _by_length([validation[j] for j in evaluated]):
+            nodes = np.array([evaluated[k] for k in group])
+            val = mse_loss(arch, w[nodes], _stack([validation[j] for j in nodes]))
+            finite = np.isfinite(val)
+            if not finite.all():
+                diverge(nodes[~finite], step)
+            nodes, val = nodes[finite], val[finite]
+            improved = val < best_val[nodes]
+            best_val[nodes] = np.where(improved, val, best_val[nodes])
+            stale[nodes] = np.where(improved, 0, stale[nodes] + 1)
+            active[nodes[~improved & (stale[nodes] >= cfg.patience)]] = False
+
+    if diverged_at.any():
+        first = int(np.flatnonzero(diverged_at)[0])
+        raise TrainingDivergedError(int(diverged_at[first]), node_ids[first], episode)
+    deltas = w - global_params
+    return [
+        ModelUpdate(delta=deltas[j], node_id=node_ids[j], episode=episode, steps=int(steps[j]))
+        for j in range(n)
+    ]
 
 
 def local_train(
@@ -168,55 +303,11 @@ def local_train(
     node_id: int = -1,
     episode: int = 0,
 ) -> ModelUpdate:
-    """Run local optimization from the global model and return the delta.
-
-    Performs cfg.local_steps optimizer steps over mini-batches from the
-    shard's training split. With early stopping on, training halts once
-    the shard validation loss has failed to improve for cfg.patience
-    consecutive evaluations.
-    """
-    sampler = BatchSampler.for_shard(shard, cfg.batch_size, seed, *stream_tags)
-    w = global_params.copy()
-
-    # Adamax state (unused for mbgd)
-    m = np.zeros_like(w)
-    u = np.zeros_like(w)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    best_val = np.inf
-    stale = 0
-    val_xy = (shard.validation.x, shard.validation.y) if len(shard.validation) else None
-
-    steps_taken = 0
-    for step in range(1, cfg.local_steps + 1):
-        batch = sampler.next_batch()
-        g = gradient(arch, w, batch)
-        if cfg.kind == "mbgd":
-            w = w - cfg.learning_rate * g
-        else:
-            m = beta1 * m + (1.0 - beta1) * g
-            u = np.maximum(beta2 * u, np.abs(g))
-            w = w - (cfg.learning_rate / (1.0 - beta1**step)) * m / (u + eps)
-        steps_taken = step
-
-        if not np.all(np.isfinite(w)):
-            raise TrainingDivergedError(step)
-
-        if cfg.early_stop and val_xy is not None:
-            val = mse_loss(arch, w, val_xy)
-            if not np.isfinite(val):
-                raise TrainingDivergedError(step)
-            if val < best_val:
-                best_val = val
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-
-    return ModelUpdate(
-        delta=w - global_params, node_id=node_id, episode=episode, steps=steps_taken
-    )
+    """Run local optimization of one shard from the global model and
+    return the delta: train_stack on a stack of one."""
+    return train_stack(
+        arch, global_params, [shard], cfg, [seed], *stream_tags, node_ids=[node_id], episode=episode
+    )[0]
 
 
 def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:

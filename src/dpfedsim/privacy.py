@@ -10,7 +10,7 @@ configured threshold is exceeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,13 +64,13 @@ def clip(update: ModelUpdate, clip_c: float) -> ModelUpdate:
         raise ValueError("clip threshold must be positive")
     norm = float(np.linalg.norm(update.delta))
     scale = max(1.0, norm / clip_c)
-    return ModelUpdate(delta=update.delta / scale, node_id=update.node_id, episode=update.episode)
+    return replace(update, delta=update.delta / scale)
 
 
 def add_noise(clipped: ModelUpdate, spec: PrivacySpec, rng: np.random.Generator) -> ModelUpdate:
     """Add i.i.d. Gaussian noise, std = sensitivity * sigma, per coordinate."""
     noise = spec.noise_std * rng.standard_normal(clipped.delta.shape)
-    return ModelUpdate(delta=clipped.delta + noise, node_id=clipped.node_id, episode=clipped.episode)
+    return replace(clipped, delta=clipped.delta + noise)
 
 
 @dataclass

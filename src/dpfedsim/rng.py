@@ -2,8 +2,9 @@
 
 Every random draw in a run comes from a substream keyed by
 (master seed, purpose tag, ids...).  Streams are independent of each
-other and of scheduling, so adding or removing worker parallelism can
-never change results.
+other and of the order in which they are drawn, so training an
+episode's nodes together as one stack gives each node the same draws,
+and the same results, as training it alone.
 """
 
 import hashlib

@@ -47,8 +47,10 @@ def test_hooks_trace_a_smoke_run(tracer, tmp_path):
     assert bundle.status == "ok"
     assert _calls(tracer, traced, "experiment.prepare_state") == 1
     assert _calls(tracer, traced, "federation.run_episode") == bundle.summary["episodes_executed"] == 3
-    assert _calls(tracer, traced, "model.local_train") > 0
+    assert _calls(tracer, traced, "model.gradient") > 0
     assert _calls(tracer, traced, "detection.evaluate") == 3
+    # the leave-one-out standards come from one sum per episode, not one per node
+    assert _calls(tracer, traced, "detection.comparison_standard") <= 3
     assert traced.counters["data.samples"] == 200
 
 
@@ -62,5 +64,5 @@ def test_hooks_trace_a_loss_table_run(tracer):
     assert traced.counters["rdp.final_loss_calls"] == 1
     assert _calls(tracer, traced, "experiment.prepare_state") == 1
     assert _calls(tracer, traced, "federation.run_episode") == base["federation.episodes"]
-    assert _calls(tracer, traced, "model.local_train") > 0
+    assert _calls(tracer, traced, "model.gradient") > 0
     assert traced.counters["data.samples"] == 200

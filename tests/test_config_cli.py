@@ -195,6 +195,7 @@ def test_cli_usage_error_exit_code(tmp_path):
         ),
         pytest.param("data.server_split = 1.5", "data.server_split", id="server_split_range"),
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
+        pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
     ],
 )
 def test_cli_invalid_config_fails_at_parse_time(tmp_path, capsys, line, path):
@@ -217,7 +218,7 @@ def test_cli_preset_continues_past_a_diverging_cell(tmp_path, monkeypatch, capsy
     with np.errstate(all="ignore"):
         code = main(["train", "--preset", "pair", "--out", str(tmp_path)])
     assert code == 2
-    assert "diverges: diverged at step 1" in capsys.readouterr().out
+    assert "diverges: diverged at episode 1, node 2, step 1" in capsys.readouterr().out
     assert not (tmp_path / "diverges" / "summary.csv").exists()
     assert (tmp_path / "fine" / "summary.csv").exists()
 

@@ -13,7 +13,7 @@ from dpfedsim.detection import (
     loss_test_rate,
     norm_rate,
 )
-from dpfedsim.model import Architecture, ModelUpdate, init_params
+from dpfedsim.model import Architecture, ModelUpdate, init_params, mse_loss
 from dpfedsim.rng import substream
 
 CFG = DetectorConfig(kind="norm", beta1=1.0, beta2=0.1, d_max=10.0)
@@ -191,6 +191,36 @@ def test_mix_is_union_of_flag_sets():
         mix_verdicts = evaluate(ups, cfg, arch, params, val)
         assert {v.node_id for v in mix_verdicts if v.flagged} == norm_flags | acc_flags
         assert (norm_flags | acc_flags) >= norm_flags and (norm_flags | acc_flags) >= acc_flags
+
+
+# one total per episode --------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_evaluate_equals_per_node_standard_oracle(n):
+    # evaluate derives every standard from one sum; the oracle rebuilds
+    # each node's standard alone with comparison_standard(updates, i)
+    arch, params, val, rng = _accuracy_setup(n)
+    ups = _ups(rng.normal(0, 1.0, size=(n, arch.n_params)))
+    cfg = {kind: DetectorConfig(kind=kind, beta1=0.8, beta2=0.05) for kind in ("norm", "accuracy", "mix")}
+    norm = [norm_rate(ups, i, cfg["norm"]) for i in range(n)]
+    acc = [accuracy_rate(ups, i, cfg["accuracy"], arch, params, val) for i in range(n)]
+    for i in range(n):
+        alone = comparison_standard(ups, i)
+        diff = ups[i].delta - alone
+        assert norm[i].components["d"] == float(diff @ diff)
+        assert acc[i].components["loss_st"] == mse_loss(arch, params + alone, val)
+    assert np.array_equal(comparison_standard(ups, slice(None)), [comparison_standard(ups, i) for i in range(n)])
+
+    def terms(verdicts):
+        return [(v.node_id, v.rate, v.components) for v in verdicts]
+
+    assert terms(evaluate(ups, cfg["norm"])) == terms(norm)
+    assert terms(evaluate(ups, cfg["accuracy"], arch, params, val)) == terms(acc)
+    mix = evaluate(ups, cfg["mix"], arch, params, val)
+    assert terms(mix) == [
+        (nv.node_id, min(nv.rate, av.rate), {"norm": nv.components, "accuracy": av.components})
+        for nv, av in zip(norm, acc)
+    ]
 
 
 # detection accuracy ---------------------------------------------------

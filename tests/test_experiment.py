@@ -80,6 +80,15 @@ def test_run_sidecar_contains_resolved_config(tmp_path):
     assert "started_unix" in sidecar
 
 
+def test_run_sidecar_flags_calibration_outside_its_proof(tmp_path):
+    name, overrides = presets.expand("smoke")[0]  # epsilon = 60
+    bundle = run(ExperimentConfig.from_dict({**overrides, "seed": 1}), tmp_path / name)
+    sidecar = (bundle.out_dir / "run_info.txt").read_text()
+    assert "epsilon = 60.0 >= 1" in sidecar and "proven only for epsilon < 1" in sidecar
+    small = (_run(tmp_path, **{"privacy.epsilon": 0.7}).out_dir / "run_info.txt").read_text()
+    assert "proven only for epsilon < 1" not in small
+
+
 def test_report_identical_runs_identical_rows(tmp_path):
     a = _run(tmp_path, name="a")
     b = _run(tmp_path, name="b")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpfedsim.adversary import AttackConfig
+from dpfedsim.adversary import AttackConfig, inject, rmd_update
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition, synthesize
 from dpfedsim.detection import DetectorConfig
@@ -17,9 +17,9 @@ from dpfedsim.federation import (
     run_episode,
     select_nodes,
 )
-from dpfedsim.model import ModelUpdate, OptimizerConfig
-from dpfedsim.privacy import PrivacySpec
-from dpfedsim.rng import substream
+from dpfedsim.model import ModelUpdate, OptimizerConfig, local_train
+from dpfedsim.privacy import PrivacySpec, add_noise, clip
+from dpfedsim.rng import substream, substream_seed
 
 
 def _fed_cfg(**kw):
@@ -219,12 +219,51 @@ def test_training_bitwise_reproducible():
     assert all(x.same_outcome(y) for x, y in zip(a, b))
 
 
-def test_training_parallel_equals_serial():
-    serial_cfg = _fed_cfg(episodes=3, workers=0)
-    parallel_cfg = _fed_cfg(episodes=3, workers=4)
-    a, _ = run_training(_state(serial_cfg), serial_cfg)
-    b, _ = run_training(_state(parallel_cfg), parallel_cfg)
-    assert all(x.same_outcome(y) for x, y in zip(a, b))
+@pytest.mark.parametrize("attack", [None, "mpelm", "rmd"])
+def test_training_equals_per_node_reference(attack):
+    # each submission recomputed alone: one-shard local_train, clip, then
+    # noise (inject for compromised nodes) or the rmd draw, from the same
+    # substreams and the global model the episode started from
+    cfg = _fed_cfg(k=8, n=5, episodes=3)
+    state = _state(cfg)
+    attacker = None
+    if attack:
+        attacker = Attacker(attack, AttackConfig(compromised=frozenset({1, 4}), gamma_fixed=0.5))
+    params = state.global_params.copy()
+    records, status = run_training(state, cfg, attacker)
+    assert status == "ok" and len(records) == 3
+    seen_compromised = 0
+    for rec in records:
+        t = rec.episode
+        assert [u.node_id for u in rec.submitted] == list(rec.selected)
+        for update in rec.submitted:
+            i = update.node_id
+            if attack == "rmd" and i in rec.active_compromised:
+                expected = rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), len(params),
+                                      node_id=i, episode=t)
+            else:
+                raw = local_train(state.arch, params, state.shards[i], cfg.optimizer,
+                                  substream_seed(cfg.seed, "train", t, i), node_id=i, episode=t)
+                clipped = clip(raw, cfg.privacy.clip_c)
+                noise_rng = substream(cfg.seed, "noise", t, i)
+                if i in rec.active_compromised:
+                    expected = inject(clipped, cfg.privacy, attacker.config, 0.5, noise_rng)
+                else:
+                    expected = add_noise(clipped, cfg.privacy, noise_rng)
+            seen_compromised += i in rec.active_compromised
+            assert np.array_equal(update.delta, expected.delta)
+            assert (update.episode, update.steps) == (t, expected.steps)
+        params = rec.global_params_after
+    assert seen_compromised > 0 or attack is None
+
+
+def test_submitted_updates_report_training_steps():
+    local_steps = 12
+    cfg = _fed_cfg(optimizer=OptimizerConfig(learning_rate=0.2, local_steps=local_steps, patience=1))
+    records, _ = run_training(_state(cfg), cfg)
+    steps = [u.steps for rec in records for u in rec.submitted]
+    assert all(1 <= s <= local_steps for s in steps)
+    assert min(steps) < local_steps  # some node stopped early
 
 
 def test_training_reports_empty_aggregation_status():

@@ -13,6 +13,7 @@ from dpfedsim.model import (
     local_train,
     mse_loss,
     save_checkpoint,
+    train_stack,
     unpack,
 )
 from dpfedsim.rng import substream
@@ -207,6 +208,83 @@ def test_local_train_divergence_carries_step():
     with pytest.raises(TrainingDivergedError) as err:
         local_train(ARCH, params, shard, cfg, 1, "t", 0)
     assert 1 <= err.value.step <= 8
+
+
+def test_stacked_gradient_and_loss_equal_per_row():
+    rng = substream(7, "stack")
+    for arch in (ARCH, Architecture(hidden=(8, 4))):
+        for g, b in ((1, 1), (3, 7), (5, 32)):
+            params = rng.normal(0, 0.5, size=(g, arch.n_params))
+            x, y = rng.uniform(0, 1, size=(g, b, 6)), rng.uniform(0, 1, size=(g, b))
+            grads = gradient(arch, params, (x, y))
+            losses = mse_loss(arch, params, (x, y))
+            assert grads.shape == params.shape and losses.shape == (g,)
+            for j in range(g):
+                assert np.array_equal(grads[j], gradient(arch, params[j], (x[j], y[j])))
+                assert losses[j] == mse_loss(arch, params[j], (x[j], y[j]))
+    assert isinstance(mse_loss(arch, params[0], (x[0], y[0])), float)
+
+
+def _ragged_shards():
+    # 15 or 16 training rows each (shard sizes differ by one), so batches
+    # of 4 end every epoch short; the last shard has no validation split
+    from dpfedsim.data import Dataset, NodeShard
+
+    shards = partition(synthesize(98, seed=8), 5, seed=8)
+    last = shards[-1]
+    empty = Dataset(np.empty((0, 6)), np.empty(0))
+    return shards[:-1] + [NodeShard(last.node_id, last.train, empty)]
+
+
+@pytest.mark.parametrize("kind", ["mbgd", "adamax"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_train_stack_equals_per_shard_local_train(kind, early_stop):
+    shards = _ragged_shards()
+    assert len({len(s.train) for s in shards}) == 2
+    params = init_params(ARCH, substream(9, "init"))
+    cfg = OptimizerConfig(kind=kind, learning_rate=0.2, batch_size=4, local_steps=12,
+                          early_stop=early_stop, patience=1)
+    seeds = [100 + j for j in range(len(shards))]
+    ids = [s.node_id for s in shards]
+    stacked = train_stack(ARCH, params, shards, cfg, seeds, "t", node_ids=ids, episode=3)
+    alone = [
+        local_train(ARCH, params, shard, cfg, seed, "t", node_id=i, episode=3)
+        for shard, seed, i in zip(shards, seeds, ids)
+    ]
+    for a, b in zip(stacked, alone):
+        assert np.array_equal(a.delta, b.delta)
+        assert (a.steps, a.node_id, a.episode) == (b.steps, b.node_id, b.episode)
+    steps = [u.steps for u in stacked]
+    if early_stop:
+        assert len(set(steps)) > 1 and min(steps) < cfg.local_steps  # nodes stop apart
+        assert steps[-1] == cfg.local_steps  # no validation split: never stops early
+    else:
+        assert steps == [cfg.local_steps] * len(shards)
+
+
+def test_train_stack_raises_for_first_diverging_node_in_order():
+    from dpfedsim.data import Dataset, NodeShard
+
+    def shard(node_id, x, y):
+        data = Dataset(np.full((40, 6), x), np.full(40, y))
+        return NodeShard(node_id, data, data.take(slice(0, 5)))
+
+    # alone, these diverge at steps 3, 1 and 2: the error must be node 0's,
+    # as one-at-a-time training in node order would raise it
+    shards = [shard(0, 100.0, 0.0), shard(1, 1.0, 1e250), shard(2, 1.0, 1e100)]
+    params = np.full(ARCH.n_params, 0.5)
+    cfg = OptimizerConfig(kind="mbgd", learning_rate=1e100, local_steps=8, early_stop=False)
+    with np.errstate(all="ignore"):
+        alone = []
+        for s in shards:
+            with pytest.raises(TrainingDivergedError) as err:
+                local_train(ARCH, params, s, cfg, 1, "t", node_id=s.node_id, episode=4)
+            alone.append(err.value.step)
+        with pytest.raises(TrainingDivergedError) as err:
+            train_stack(ARCH, params, shards, cfg, [1, 1, 1], "t", node_ids=[10, 11, 12], episode=4)
+    assert alone == [3, 1, 2]
+    assert (err.value.node_id, err.value.step, err.value.episode) == (10, 3, 4)
+    assert "episode 4, node 10, step 3" in str(err.value)
 
 
 def test_adamax_steps_bounded():
