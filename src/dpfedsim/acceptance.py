@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rdp
+from . import presets, rdp
 from .adversary import adversarial_mu, inject, rmd_update, stopped_nodes
 from .config import ExperimentConfig
 from .detection import DetectorConfig, Verdict, detection_accuracy, evaluate, loss_test_rate, norm_rate
@@ -56,26 +56,6 @@ _DESK = {
     "privacy.stop_threshold": 0.5,
     "optimizer.kind": "adamax",
     "optimizer.learning_rate": 0.01,
-}
-
-# Detectors need the per-coordinate noise small against the clip norm
-# (q * sigma^2 below ~0.5), hence the small network and wide privacy
-# loss, an explicit poisoning degree near 1, and a horizon short enough
-# that trained updates stay at clip scale (once the model converges the
-# leave-one-out standard is noise-dominated and everyone gets flagged).
-_STEALTH = {
-    "data.n_samples": 3000,
-    "federation.nodes": 100,
-    "federation.participants": 30,
-    "federation.episodes": 15,
-    "model.hidden": "8,4",
-    "privacy.epsilon": 60.0,
-    "privacy.clip": 0.05,
-    "privacy.stop_threshold": 0.5,
-    "optimizer.learning_rate": 0.05,
-    "attack.gamma0": 0.7,
-    "detector.orientation": "reversed",
-    "detector.beta1": 1.0,
 }
 
 _TABLES = {
@@ -247,7 +227,8 @@ def _stealth_direction(_workdir) -> tuple[bool, str]:
     def d_acc(mode: str, kind: str, seed: int) -> float:
         nonlocal aborts
         cfg = ExperimentConfig.from_dict(
-            {**_STEALTH, "attack.mode": mode, "attack.m": 3, "detector.kind": kind, "seed": seed}
+            {**presets._DETECTOR_BASE, "attack.mode": mode, "attack.m": 3,
+             "detector.kind": kind, "seed": seed}
         )
         state, fed_cfg = prepare_state(cfg)
         attacker = build_attacker(cfg)
@@ -498,8 +479,6 @@ def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, in
 
 @criterion(12, "runs are byte-identical across repeats and against per-node training")
 def _determinism(workdir) -> tuple[bool, str]:
-    from . import presets
-
     name, overrides = presets.expand("smoke")[0]
     cfg = ExperimentConfig.from_dict({**overrides, "seed": 5})
     outs = []

@@ -44,10 +44,6 @@ class AttackConfig:
         if not 0.0 <= self.stop_fraction <= 1.0:
             raise ValueError("stop_fraction must be in [0, 1]")
 
-    @property
-    def m(self) -> int:
-        return len(self.compromised)
-
 
 @dataclass(frozen=True)
 class AttackState:
@@ -62,39 +58,6 @@ class AttackState:
     def initial(cls, gamma0: float) -> "AttackState":
         return cls(episodic_losses=(), gamma_current=gamma0,
                    gamma_episode=gamma0, loss_ratio=0.0)
-
-
-@dataclass(frozen=True)
-class PoisonWindow:
-    """Analytical noise-injection slack around a detector threshold.
-
-    Intervals are (0, endpoint) tuples, or None when the endpoint is
-    negative (empty window). Reporting aid only; the attack loop never
-    consults it because the attacker cannot observe the threshold.
-    """
-
-    tau: float
-    upsilon: float
-    lower: Optional[tuple[float, float]]
-    upper: Optional[tuple[float, float]]
-    eta_max: Optional[float] = None
-
-
-def poisoning_window(tau: float, upsilon: float, eta_max: Optional[float] = None) -> PoisonWindow:
-    """Windows [0, tau - upsilon] and [0, tau + upsilon] opened by DP slack."""
-    if tau < 0:
-        raise ValueError("detection threshold must be >= 0")
-
-    def interval(endpoint: float):
-        return None if endpoint < 0 else (0.0, endpoint)
-
-    return PoisonWindow(
-        tau=tau,
-        upsilon=upsilon,
-        lower=interval(tau - upsilon),
-        upper=interval(tau + upsilon),
-        eta_max=eta_max,
-    )
 
 
 def adversarial_mu(theta: float, gamma: float, sigma_x: float) -> float:

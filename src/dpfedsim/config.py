@@ -9,7 +9,6 @@ failures name the offending field path (usage errors, CLI exit code 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .adversary import AttackConfig
 from .detection import DetectorConfig
@@ -116,10 +115,6 @@ class ExperimentConfig:
         cfg = cls(values=values)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(parse_config_text(Path(path).read_text()))
 
     def __getitem__(self, key: str):
         return self.values[key]

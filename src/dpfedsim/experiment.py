@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import csvio
 from .config import ExperimentConfig
 from .data import ingest_csv, load_cache, partition, split_holdout, synthesize
@@ -50,30 +48,6 @@ class MetricsBundle:
     csv_paths: dict[str, Path]
     summary: dict
     status: str = "ok"
-
-    def recompute_summary(self) -> dict:
-        """Re-derive the summary from the CSVs (consistency check)."""
-        rows = csvio.read_csv(self.csv_paths["episodes"], "episodes", SCHEMAS["episodes"])
-        summary = {
-            "episodes_executed": len(rows),
-            "final_val_loss": float(rows[-1]["global_val_loss"]) if rows else float("nan"),
-            "delta_spent": float(rows[-1]["delta_cumulative"]) if rows else 0.0,
-        }
-        if "detection" in self.csv_paths:
-            det_rows = csvio.read_csv(self.csv_paths["detection"], "detection", SCHEMAS["detection"])
-            by_episode: dict[str, list] = {}
-            for row in det_rows:
-                by_episode.setdefault(row["episode"], []).append(row)
-            scores = []
-            for rows_ep in by_episode.values():
-                correct = sum(
-                    1
-                    for r in rows_ep
-                    if (r["is_truly_malicious"] == "true") == (r["flagged"] == "true")
-                )
-                scores.append(100.0 * correct / len(rows_ep))
-            summary["d_acc"] = float(np.mean(scores)) if scores else float("nan")
-        return summary
 
 
 def build_dataset(cfg: ExperimentConfig):

@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BatchSampler, NodeShard
-
-CHECKPOINT_VERSION = 1
+from .data import N_FEATURES, BatchSampler, NodeShard
 
 
 class TrainingDivergedError(RuntimeError):
@@ -36,13 +34,11 @@ class TrainingDivergedError(RuntimeError):
 class Architecture:
     """Layer sizes of the MLP; defines the parameter vector length q."""
 
-    input_dim: int = 6
     hidden: tuple[int, int] = (16, 8)
-    output_dim: int = 1
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
+        return (N_FEATURES, *self.hidden, 1)
 
     @property
     def n_params(self) -> int:
@@ -308,26 +304,3 @@ def local_train(
     return train_stack(
         arch, global_params, [shard], cfg, [seed], *stream_tags, node_ids=[node_id], episode=episode
     )[0]
-
-
-def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:
-    """Persist a parameter vector with its architecture header."""
-    np.savez(
-        path,
-        version=CHECKPOINT_VERSION,
-        layer_sizes=np.array(arch.layer_sizes),
-        activations=np.array(["relu"] * len(arch.hidden) + ["linear"]),
-        values=np.asarray(params, dtype=np.float64),
-    )
-
-
-def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
-    with np.load(path) as archive:
-        if int(archive["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {archive['version']}")
-        sizes = [int(s) for s in archive["layer_sizes"]]
-        values = archive["values"]
-    arch = Architecture(input_dim=sizes[0], hidden=tuple(sizes[1:-1]), output_dim=sizes[-1])
-    if values.shape != (arch.n_params,):
-        raise ValueError("checkpoint parameter vector does not match its header")
-    return arch, values

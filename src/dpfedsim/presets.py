@@ -20,7 +20,9 @@ _DESK_BASE = {
 # per-coordinate noise must stay small against the clip threshold, so the
 # privacy loss is large, the poisoning degree is set near 1 explicitly,
 # and the horizon is short enough that trained updates stay at clip
-# scale (see README, "stealth sweep").
+# scale: once the model converges the leave-one-out standard is
+# noise-dominated and every node is flagged (see README, "stealth sweep").
+# Acceptance criterion 7 runs at this point too.
 _DETECTOR_BASE = {
     **_DESK_BASE,
     "federation.episodes": 15,

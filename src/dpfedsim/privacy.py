@@ -10,7 +10,7 @@ configured threshold is exceeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +63,12 @@ def clip(update: ModelUpdate, clip_c: float) -> ModelUpdate:
     if clip_c <= 0:
         raise ValueError("clip threshold must be positive")
     norm = float(np.linalg.norm(update.delta))
+    if math.isinf(norm) and np.all(np.isfinite(update.delta)):
+        # the sum of squares overflowed: with unit = delta / max|delta| the
+        # norm is peak * |unit|, so clipping keeps unit * peak or scales unit to C
+        peak = float(np.max(np.abs(update.delta)))
+        unit = update.delta / peak
+        return replace(update, delta=unit * min(peak, clip_c / float(np.linalg.norm(unit))))
     scale = max(1.0, norm / clip_c)
     return replace(update, delta=update.delta / scale)
 
@@ -83,18 +89,15 @@ class PrivacyLedger:
     """
 
     stop_threshold: float = 0.01
-    per_episode_delta: list = field(default_factory=list)
     cumulative_delta: float = 0.0
 
     @property
     def stopped(self) -> bool:
         return self.cumulative_delta > self.stop_threshold
 
-    def account(self, spec: PrivacySpec) -> str:
-        """Record one episode's leakage; returns "continue" or "stop"."""
-        self.per_episode_delta.append(spec.delta)
+    def account(self, spec: PrivacySpec) -> None:
+        """Record one episode's leakage; ``stopped`` then says whether to stop."""
         # 1 - prod(1 - d) composed incrementally as c + d - c*d, which is
         # exact at c = 0 so the strict stop boundary behaves
         c, d = self.cumulative_delta, spec.delta
         self.cumulative_delta = c + d - c * d
-        return "stop" if self.stopped else "continue"

@@ -38,6 +38,10 @@ ACTIONS = tuple(Action)
 
 N_BINS = 10
 
+# epsilon-greedy exploration decays linearly between these probabilities
+EXPLORE_START = 1.0
+EXPLORE_MIN = 0.05
+
 
 @dataclass(frozen=True)
 class RdpState:
@@ -51,8 +55,6 @@ class RdpHyper:
     alpha: float = 0.001
     zeta: float = 0.5
     psi: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    explore_start: float = 1.0
-    explore_min: float = 0.05
     max_episodes: int = 60_000
 
     def __post_init__(self):
@@ -157,53 +159,45 @@ def step(state: RdpState, action: Action, tables: LossTables) -> RdpState:
     return tables.state_at(idx)
 
 
+@dataclass
 class QTable:
-    """State-action values with visit counts and a per-episode delta trace."""
+    """Q-values as an (n_states, n_actions) array plus the per-episode mean
+    absolute Q change.
 
-    def __init__(self):
-        self.values: dict[tuple, float] = {}
-        self.visits: dict[tuple, int] = {}
-        self.delta_trace: list[float] = []
+    Actions are held in ascending ordinal order, so np.argmax over a row
+    breaks ties toward the lowest ordinal.
+    """
+
+    states: list
+    actions: list
+    values: np.ndarray
+    delta_trace: list[float] = field(default_factory=list)
+
+    def _row(self, state) -> np.ndarray:
+        return self.values[self.states.index(state)]
 
     def get(self, state, action) -> float:
-        return self.values.get((state, action), 0.0)
+        return float(self._row(state)[self.actions.index(action)])
 
-    def max_q(self, state, actions: Sequence = ACTIONS) -> float:
-        return max(self.get(state, a) for a in actions)
-
-    def argmax_action(self, state, actions: Sequence = ACTIONS):
-        # ties break toward the lowest action ordinal
-        return max(actions, key=lambda a: (self.get(state, a), -a.value))
+    def argmax_action(self, state):
+        return self.actions[int(np.argmax(self._row(state)))]
 
     def rows(self):
         """(state, action, q) rows in deterministic order for persistence."""
-        keyed = sorted(
-            self.values.items(),
-            key=lambda kv: (
-                kv[0][0].m_l_bin,
-                kv[0][0].f_l_bin,
-                kv[0][0].epsilon_index,
-                kv[0][1].value,
-            ),
-        )
-        return [(s, a, q) for (s, a), q in keyed]
-
-
-def q_update(q: QTable, s, a, r: float, s_next, hyper: RdpHyper, actions: Sequence = ACTIONS) -> float:
-    """One-step Q update; returns |Q_new - Q_old|."""
-    old = q.get(s, a)
-    new = (1.0 - hyper.alpha) * old + hyper.alpha * (r + hyper.zeta * q.max_q(s_next, actions))
-    q.values[(s, a)] = new
-    q.visits[(s, a)] = q.visits.get((s, a), 0) + 1
-    return abs(new - old)
+        cells = [
+            (s, a, float(q))
+            for s, row in zip(self.states, self.values)
+            for a, q in zip(self.actions, row)
+        ]
+        return sorted(cells, key=lambda c: (c[0].m_l_bin, c[0].f_l_bin, c[0].epsilon_index, c[1].value))
 
 
 def exploration_probability(episode: int, hyper: RdpHyper) -> float:
-    """Linear decay from explore_start to explore_min over the first half
+    """Linear decay from EXPLORE_START to EXPLORE_MIN over the first half
     of training, held at the minimum afterwards."""
     half = max(1, hyper.max_episodes // 2)
     frac = min(1.0, episode / half)
-    return hyper.explore_start + frac * (hyper.explore_min - hyper.explore_start)
+    return EXPLORE_START + frac * (EXPLORE_MIN - EXPLORE_START)
 
 
 def fit_tabular(
@@ -245,10 +239,9 @@ def fit_tabular(
     # action ordinals ascend within each row, so ties in argmax already
     # break toward the lowest ordinal under a stable first-max scan
     qvals = np.zeros((n_s, n_a))
-    visits = np.zeros((n_s, n_a), dtype=np.int64)
     alpha, zeta = hyper.alpha, hyper.zeta
 
-    q = QTable()
+    q = QTable(states, actions, qvals)
     episode_rewards = []
     for episode in range(hyper.max_episodes):
         explore = exploration_probability(episode, hyper)
@@ -267,7 +260,6 @@ def fit_tabular(
             old = row[j]
             new = (1.0 - alpha) * old + alpha * (r + zeta * qvals[nxt].max())
             row[j] = new
-            visits[i, j] += 1
             delta_sum += abs(new - old)
             ep_reward += r
         mean_delta = delta_sum / n_s
@@ -275,12 +267,6 @@ def fit_tabular(
             raise ArithmeticError(f"non-finite Q values at episode {episode + 1}")
         q.delta_trace.append(mean_delta)
         episode_rewards.append(ep_reward)
-
-    for i, s in enumerate(states):
-        for j, a in enumerate(actions):
-            q.values[(s, a)] = float(qvals[i, j])
-            if visits[i, j]:
-                q.visits[(s, a)] = int(visits[i, j])
     return q, episode_rewards
 
 
@@ -355,15 +341,6 @@ def _greedy_fixed_point(tables: LossTables, policy: dict[RdpState, Action]) -> f
         seen.append(idx)
         idx = nxt
     return tables.epsilon_grid[idx]
-
-
-def detect_assist(f_l_standard: float, f_l_observed: float, margin: float = 0.1) -> str:
-    """Compare observed federated loss to the policy's standard value."""
-    if f_l_standard <= 0 or f_l_observed <= 0:
-        raise ValueError("losses must be positive")
-    if f_l_observed > f_l_standard * (1.0 + margin):
-        return "suspected_attack"
-    return "clear"
 
 
 def generate_loss_tables(

@@ -11,7 +11,6 @@ from dpfedsim.adversary import (
     adversarial_mu,
     episodic_loss,
     inject,
-    poisoning_window,
     rmd_update,
     stopped_nodes,
     tune_poison_degree,
@@ -26,25 +25,6 @@ def _cfg(**kw):
     defaults = dict(compromised=frozenset({0, 1}), gamma0=0.7, rho=0.1, r_hi=1.5, r_lo=0.5)
     defaults.update(kw)
     return AttackConfig(**defaults)
-
-
-# poisoning window ------------------------------------------------------
-
-def test_window_symmetric_when_no_deviation():
-    w = poisoning_window(0.3, 0.0)
-    assert w.lower == (0.0, 0.3) and w.upper == (0.0, 0.3)
-
-
-def test_window_lower_empty_at_full_deviation():
-    w = poisoning_window(0.3, 0.3)
-    assert w.lower == (0.0, 0.0) and w.upper == (0.0, 0.6)
-    w = poisoning_window(0.3, 0.4)
-    assert w.lower is None
-
-
-def test_window_direct_substitution():
-    w = poisoning_window(0.3, 0.1)
-    assert w.lower == (0.0, pytest.approx(0.2)) and w.upper == (0.0, pytest.approx(0.4))
 
 
 # adversarial mean shift -------------------------------------------------

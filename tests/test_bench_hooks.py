@@ -10,9 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dpfedsim import cli, experiment, presets
+from dpfedsim import cli, experiment, presets, rdp
 from dpfedsim.config import ExperimentConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -66,3 +67,20 @@ def test_hooks_trace_a_loss_table_run(tracer):
     assert _calls(tracer, traced, "federation.run_episode") == base["federation.episodes"]
     assert _calls(tracer, traced, "model.gradient") > 0
     assert traced.counters["data.samples"] == 200
+
+
+def test_hooks_trace_an_rdp_train(tracer):
+    grid = (0.5, 1.0, 1.5)
+    tables = rdp.LossTables(
+        epsilon_grid=grid, m_l=np.array([3.0, 2.0, 1.0]), f_l=np.array([2.0, 1.5, 1.0])
+    )
+    hyper = rdp.RdpHyper(alpha=0.5, zeta=0.5, max_episodes=40)
+    with tracer.Tracer(full=True) as traced:
+        result = rdp.train(tables, hyper, seed=0)
+    tracer.assert_pristine()
+
+    assert len(result.trace) == hyper.max_episodes
+    assert _calls(tracer, traced, "rdp.train") == 1
+    assert _calls(tracer, traced, "rdp.fit_tabular") == 1
+    # the counter reads fit_tabular's positional (states, ..., hyper, seed) arguments
+    assert traced.counters["rdp.q_updates"] == len(grid) * hyper.max_episodes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpfedsim import csvio, presets
-from dpfedsim.cli import main, read_tables, write_tables
+from dpfedsim.cli import main, parse_file, read_tables, write_tables
 from dpfedsim.config import DEFAULTS, ConfigError, ExperimentConfig, parse_config_text
 from dpfedsim.rdp import LossTables, generate_loss_tables
 
@@ -77,7 +77,7 @@ def test_typed_views():
 def test_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seed = 11\nfederation.episodes = 2\n")
-    cfg = ExperimentConfig.from_file(path)
+    cfg = ExperimentConfig.from_dict(parse_file(path))
     assert cfg["seed"] == 11 and cfg["federation.episodes"] == 2
 
 

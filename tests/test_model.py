@@ -9,10 +9,8 @@ from dpfedsim.model import (
     forward,
     gradient,
     init_params,
-    load_checkpoint,
     local_train,
     mse_loss,
-    save_checkpoint,
     train_stack,
     unpack,
 )
@@ -303,11 +301,3 @@ def test_optimizer_config_validation():
         OptimizerConfig(local_steps=0)
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=-1)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    params = init_params(ARCH, substream(6, "init"))
-    save_checkpoint(tmp_path / "w.npz", ARCH, params)
-    arch2, loaded = load_checkpoint(tmp_path / "w.npz")
-    assert arch2 == ARCH
-    assert np.array_equal(loaded, params)

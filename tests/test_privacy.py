@@ -49,6 +49,13 @@ def test_clip_idempotent_and_bounded(values, c):
         assert np.linalg.norm(once.delta) == pytest.approx(c, rel=1e-12)
 
 
+def test_clip_survives_norm_overflow():
+    # |delta|^2 overflows float64 here although every entry is finite
+    out = clip(_update([1e200, 1e200, 1e200]), 1.0)
+    assert np.linalg.norm(out.delta) == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(out.delta, 1 / math.sqrt(3), rtol=1e-12, atol=0)
+
+
 def test_calibrate_inversion_fixture():
     # delta chosen so 2 ln(1.25/delta) = 1
     delta = 1.25 * math.exp(-0.5)
@@ -93,6 +100,18 @@ def test_spec_validation():
         PrivacySpec(epsilon=1.0, clip_c=0.0)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="noise_std multiplies by the clip twice (C^2 sqrt(2 ln(1.25/delta))/eps); "
+    "fixing it changes pinned benchmark digests",
+)
+def test_noise_std_linear_in_clip():
+    # Gaussian mechanism (Dwork & Roth 2014): std = C sqrt(2 ln(1.25/delta)) / eps
+    narrow = PrivacySpec(epsilon=60.0, delta=0.001, clip_c=0.05)
+    wide = PrivacySpec(epsilon=60.0, delta=0.001, clip_c=0.1)
+    assert wide.noise_std == pytest.approx(2.0 * narrow.noise_std, rel=1e-12)
+
+
 def test_add_noise_zero_sigma_identity():
     # epsilon so large the noise std underflows practical effect
     spec = PrivacySpec(epsilon=1e300, delta=0.001, clip_c=1.0)
@@ -126,16 +145,19 @@ def test_ledger_zero_delta_never_stops():
     ledger = PrivacyLedger(stop_threshold=0.5)
     spec = PrivacySpec(epsilon=1.0, delta=1e-300, clip_c=1.0)
     for _ in range(100):
-        assert ledger.account(spec) == "continue"
+        ledger.account(spec)
+        assert not ledger.stopped
 
 
 def test_ledger_stops_at_third_episode():
     # product expansion oracle: 1 - (1 - 0.001)^3 = 0.002997001 > 0.0025
     ledger = PrivacyLedger(stop_threshold=0.0025)
     spec = PrivacySpec(epsilon=1.0, delta=0.001, clip_c=1.0)
-    assert ledger.account(spec) == "continue"
-    assert ledger.account(spec) == "continue"
-    assert ledger.account(spec) == "stop"
+    ledger.account(spec)
+    ledger.account(spec)
+    assert not ledger.stopped
+    ledger.account(spec)
+    assert ledger.stopped
     assert ledger.cumulative_delta == pytest.approx(1 - (1 - 0.001) ** 3, rel=1e-12)
 
 
@@ -143,7 +165,8 @@ def test_ledger_boundary_is_strict():
     ledger = PrivacyLedger(stop_threshold=0.001)
     spec = PrivacySpec(epsilon=1.0, delta=0.001, clip_c=1.0)
     # one episode reaches exactly the threshold: continue (strict >)
-    assert ledger.account(spec) == "continue"
+    ledger.account(spec)
+    assert not ledger.stopped
     assert ledger.cumulative_delta == 0.001
 
 
