@@ -18,9 +18,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import presets, rdp
-from .adversary import adversarial_mu, inject, rmd_update, stopped_nodes
+from .adversary import adversarial_mu, inject, rmd_update
 from .config import ExperimentConfig
-from .detection import DetectorConfig, Verdict, detection_accuracy, evaluate, loss_test_rate, norm_rate
+from .detection import (
+    DetectorConfig,
+    Verdict,
+    comparison_standard,
+    detection_accuracy,
+    evaluate,
+    loss_test_rate,
+    norm_rate,
+)
 from .experiment import build_attacker, final_loss_runner, prepare_state, run, run_training
 from .model import Architecture, ModelUpdate, forward, gradient, init_params, local_train
 from .privacy import PrivacySpec, add_noise, calibrate_sigma, clip
@@ -372,14 +380,14 @@ def _detector_oracles(_workdir) -> tuple[bool, str]:
     checks = []
 
     updates = _vec_updates([(1, 0), (1, 0), (1, 0), (3, 0)])
-    v = norm_rate(updates, 3, cfg)
+    v = norm_rate(updates[3], comparison_standard(updates)[3], cfg)
     checks.append(v.components["e1"] == 4.0 and v.rate == 0.0 and v.flagged)
 
     same = _vec_updates([(0.5, 1.0)] * 4)
-    checks.append(all(not norm_rate(same, i, cfg).flagged for i in range(4)))
+    checks.append(all(not norm_rate(u, st, cfg).flagged for u, st in zip(same, comparison_standard(same))))
 
     boundary = _vec_updates([(1, 0), (1, 0), (1, 0), (2, 0)])
-    v = norm_rate(boundary, 3, cfg)
+    v = norm_rate(boundary[3], comparison_standard(boundary)[3], cfg)
     checks.append(v.components["e1"] == 1.0 and v.rate == 1.0 and not v.flagged)
 
     rate, e2 = loss_test_rate(2.0, 1.0, DetectorConfig(kind="accuracy", orientation="reversed"))
@@ -439,19 +447,19 @@ def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, in
     Every submission of every episode is recomputed alone, from the
     global model that episode started from and the same substreams: a
     one-shard local_train, then clip and noise (inject for compromised
-    nodes), or the rmd draw. A mismatch is an (episode, node) pair whose
-    delta differs in any bit from the run's.
+    nodes, with the episode's degree from the attacker's trace), or the
+    rmd draw. A mismatch is an (episode, node) pair whose delta differs in
+    any bit from the run's.
     """
     state, fed_cfg = prepare_state(cfg)
     attacker = build_attacker(cfg)
     params = state.global_params.copy()
     records, _status = run_training(state, fed_cfg, attacker, cfg.detector_config())
-    gamma_current = {row["episode"]: row["gamma_current"] for row in attacker.trace} if attacker else {}
+    gamma = {row["episode"]: row["gamma_t"] for row in attacker.trace} if attacker else {}
     spec, seed = fed_cfg.privacy, fed_cfg.seed
     checked, mismatches = 0, []
     for rec in records:
         t = rec.episode
-        paused = stopped_nodes(rec.active_compromised, attacker.config) if attacker else frozenset()
         for update in rec.submitted:
             i = update.node_id
             compromised = i in rec.active_compromised
@@ -466,10 +474,7 @@ def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, in
                 if not compromised:
                     expected = add_noise(clipped, spec, noise_rng)
                 else:
-                    gamma = rec.gamma_episode
-                    if gamma == 0.0 and i not in paused and attacker.adaptive:
-                        gamma = gamma_current[t]
-                    expected = inject(clipped, spec, attacker.config, gamma, noise_rng)
+                    expected = inject(clipped, spec, attacker.config, gamma[t], noise_rng)
             checked += 1
             if not np.array_equal(expected.delta, update.delta):
                 mismatches.append((t, i))

@@ -5,7 +5,8 @@ draws from a Gaussian whose mean is shifted by sqrt(2*gamma)*sigma_x,
 where gamma is the degree of poisoning and sigma_x matches the benign
 noise standard deviation. An adaptive controller tunes gamma every
 episode from the ratio of the current compromised validation loss to the
-historical mean. A random-update baseline (rmd) submits a uniformly
+historical mean, and every compromised node in the episode poisons with
+that one degree. A random-update baseline (rmd) submits a uniformly
 random vector scaled to the clipping threshold instead of a trained
 update.
 """
@@ -31,7 +32,6 @@ class AttackConfig:
     gamma0: float = 1.0  # callers default this to epsilon
     r_hi: float = 1.5
     r_lo: float = 0.5
-    stop_fraction: float = 1.0
     gamma_fixed: Optional[float] = None  # set to disable adaptation
 
     def __post_init__(self):
@@ -41,8 +41,8 @@ class AttackConfig:
             raise ValueError("loss-ratio thresholds must straddle 1")
         if self.gamma0 < 0:
             raise ValueError("initial degree of poisoning must be >= 0")
-        if not 0.0 <= self.stop_fraction <= 1.0:
-            raise ValueError("stop_fraction must be in [0, 1]")
+        if self.gamma_fixed is not None and self.gamma_fixed < 0:
+            raise ValueError("fixed degree of poisoning must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,6 @@ def tune_poison_degree(state: AttackState, current_loss: float, cfg: AttackConfi
     )
 
 
-def stopped_nodes(active: Sequence[int], cfg: AttackConfig) -> frozenset[int]:
-    """Subset of active compromised nodes that pause when the controller
-    signals a stop; the first round(stop_fraction * count) in id order."""
-    ordered = sorted(active)
-    n_stop = round(cfg.stop_fraction * len(ordered))
-    return frozenset(ordered[:n_stop])
-
-
 def rmd_update(
     spec: PrivacySpec,
     rng: np.random.Generator,
@@ -160,3 +152,50 @@ def rmd_update(
     delta = direction * (spec.clip_c / norm)
     noisy = delta + spec.noise_std * rng.standard_normal(n_params)
     return ModelUpdate(delta=noisy, node_id=node_id, episode=episode)
+
+
+class Attacker:
+    """Per-run attacker: mode, config, controller state and its trace.
+
+    gamma_for_episode is the only source of an episode's degree of
+    poisoning; every active compromised node injects with that degree.
+    """
+
+    def __init__(self, kind: str, config: AttackConfig):
+        if kind not in ("rmd", "mpelm"):
+            raise ValueError(f"unknown attack kind: {kind!r}")
+        self.kind = kind
+        self.config = config
+        self.state = AttackState.initial(config.gamma0)
+        self.trace: list[dict] = []
+
+    def gamma_for_episode(self, state) -> float:
+        """Degree of poisoning for the episode that ``state`` (the
+        federation state) has just entered; steps the controller unless
+        the degree is fixed."""
+        if self.kind == "rmd":
+            return 0.0
+        if self.config.gamma_fixed is not None:
+            self.trace.append(
+                {
+                    "episode": state.episode,
+                    "gamma_t": self.config.gamma_fixed,
+                    "gamma_current": self.config.gamma_fixed,
+                    "loss_ratio": float("nan"),
+                    "avg_compromised_val_loss": float("nan"),
+                }
+            )
+            return self.config.gamma_fixed
+        shards = [state.shards[i] for i in sorted(self.config.compromised)]
+        current = episodic_loss(state.arch, state.global_params, shards)
+        self.state = tune_poison_degree(self.state, current, self.config)
+        self.trace.append(
+            {
+                "episode": state.episode,
+                "gamma_t": self.state.gamma_episode,
+                "gamma_current": self.state.gamma_current,
+                "loss_ratio": self.state.loss_ratio,
+                "avg_compromised_val_loss": current,
+            }
+        )
+        return self.state.gamma_episode

@@ -114,6 +114,9 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _cmd_train(args, forced_mode=None) -> int:
     out_root = Path(args.out)
     if args.preset:
+        for flag in ("detector", "mode"):
+            if getattr(args, flag, None):
+                raise UsageError(f"--{flag} cannot be combined with --preset, which sets it per cell")
         worst = EXIT_OK
         for name, overrides in presets.expand(args.preset):
             cfg = _load_config(args, overrides)

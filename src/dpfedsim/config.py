@@ -48,7 +48,6 @@ DEFAULTS: dict[str, object] = {
     "attack.r_hi": 1.5,
     "attack.r_lo": 0.5,
     "attack.gamma_fixed": "",  # empty: adaptive
-    "attack.stop_fraction": 1.0,
     "detector.kind": "off",  # off | norm | accuracy | mix
     "detector.beta1": 1.0,
     "detector.beta2": 0.1,
@@ -147,6 +146,11 @@ class ExperimentConfig:
             raise ConfigError("federation.episodes", "must be >= 1")
         if v["privacy.stop_threshold"] < 0:
             raise ConfigError("privacy.stop_threshold", "must be >= 0")
+        if v["detector.kind"] in ("norm", "accuracy", "mix") and n < 2:
+            raise ConfigError(
+                "federation.participants",
+                f"{v['detector.kind']} detection compares each update with the others; need >= 2, got {n}",
+            )
         split = v["data.server_split"]
         if not 0.0 <= split < 1.0:
             raise ConfigError("data.server_split", f"need 0 <= {split} < 1")
@@ -231,6 +235,5 @@ class ExperimentConfig:
             gamma0=self.values["privacy.epsilon"] if gamma0 == "" else float(gamma0),
             r_hi=self.values["attack.r_hi"],
             r_lo=self.values["attack.r_lo"],
-            stop_fraction=self.values["attack.stop_fraction"],
             gamma_fixed=None if gamma_fixed == "" else float(gamma_fixed),
         )

@@ -137,18 +137,14 @@ def _dataset_from_matrix(matrix: np.ndarray) -> Dataset:
     return Dataset(normalized[:, feature_idx], normalized[:, target_idx])
 
 
-def ingest_csv(path, policy: str = "drop", cache_dir=None) -> Dataset:
+def ingest_csv(path, cache_dir=None) -> Dataset:
     """Parse the semicolon-separated power-consumption CSV into a dataset.
 
-    Rows containing any "?" are treated as missing; ``policy`` is either
-    "drop" (discard those rows, the default) or "fail" (refuse the file).
-    Retained rows are min-max normalized per column. If ``cache_dir`` is
-    given, a cleaned copy keyed by the file's content hash is reused or
-    written (see ``cache_path``).
+    Rows containing any "?" are treated as missing and dropped. Retained
+    rows are min-max normalized per column. If ``cache_dir`` is given, a
+    cleaned copy keyed by the file's content hash is reused or written
+    (see ``cache_path``).
     """
-    if policy not in ("drop", "fail"):
-        raise ValueError(f"unknown missing-value policy: {policy!r}")
-
     raw = open(path, "rb").read()
     if cache_dir is not None:
         cached = cache_path(cache_dir, raw)
@@ -166,7 +162,6 @@ def ingest_csv(path, policy: str = "drop", cache_dir=None) -> Dataset:
 
     rows: list[list[float]] = []
     malformed: list[int] = []
-    missing = 0
     n_data_lines = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -178,9 +173,6 @@ def ingest_csv(path, policy: str = "drop", cache_dir=None) -> Dataset:
             continue
         numeric = fields[2:]
         if any(f.strip() == "?" for f in numeric):
-            if policy == "fail":
-                raise IngestionError(f"{path}: missing value at line {lineno}")
-            missing += 1
             continue
         try:
             rows.append([float(f) for f in numeric])

@@ -4,7 +4,8 @@ Three filters: norm detection (squared L2 distance to the leave-one-out
 mean), accuracy detection (validation-loss difference between candidate
 global models), and mix (union of both). Every operation is a pure
 function of the episode's update list. evaluate sums the episode's
-updates once and derives all n leave-one-out standards from that total.
+updates once and derives all n leave-one-out standards from that total;
+with kind "off" it returns no verdicts.
 """
 
 from __future__ import annotations
@@ -45,33 +46,24 @@ class Verdict:
         return self.rate < 1.0
 
 
-def comparison_standard(updates: Sequence[ModelUpdate], i) -> np.ndarray:
-    """Mean of all updates except the i-th (leave-one-out reference).
-
-    ``i`` indexes the update list like an array axis, so
-    ``comparison_standard(updates, slice(None))`` gives all n standards as
-    an (n, q) stack from one sum, each row equal to its own call.
-    """
+def comparison_standard(updates: Sequence[ModelUpdate]) -> np.ndarray:
+    """Leave-one-out references as an (n, q) stack from one sum: row i is
+    the mean of all updates except the i-th."""
     if len(updates) < 2:
         raise ValueError("comparison standard needs at least two updates")
     deltas = np.array([u.delta for u in updates])
     total = np.sum(deltas, axis=0)
-    return (total - deltas[i]) / (len(updates) - 1)
+    return (total - deltas) / (len(updates) - 1)
 
 
-def norm_rate(
-    updates: Sequence[ModelUpdate], i: int, cfg: DetectorConfig, standard: np.ndarray = None
-) -> Verdict:
-    """Rate the i-th update by squared distance to its comparison standard.
+def norm_rate(update: ModelUpdate, standard: np.ndarray, cfg: DetectorConfig) -> Verdict:
+    """Rate an update by squared distance to its comparison standard.
 
     e1 is the distance relative to the standard's squared norm, capped at
     d_max; the rate is clamp(1 - max(0, e1 - beta1), 0, 1) and anything
-    below 1 counts as flagged. ``standard`` is the i-th comparison
-    standard when the caller already holds it.
+    below 1 counts as flagged.
     """
-    if standard is None:
-        standard = comparison_standard(updates, i)
-    diff = updates[i].delta - standard
+    diff = update.delta - standard
     d = float(diff @ diff)
     st_sq = float(standard @ standard)
 
@@ -85,7 +77,7 @@ def norm_rate(
         e1 = cfg.d_max
 
     rate = min(1.0, max(0.0, 1.0 - max(0.0, e1 - cfg.beta1)))
-    return Verdict(node_id=updates[i].node_id, rate=rate, components={"d": d, "e1": e1})
+    return Verdict(node_id=update.node_id, rate=rate, components={"d": d, "e1": e1})
 
 
 def loss_test_rate(loss_i: float, loss_st: float, cfg: DetectorConfig) -> tuple[float, float]:
@@ -112,28 +104,24 @@ def loss_test_rate(loss_i: float, loss_st: float, cfg: DetectorConfig) -> tuple[
 
 
 def accuracy_rate(
-    updates: Sequence[ModelUpdate],
-    i: int,
+    update: ModelUpdate,
+    standard: np.ndarray,
     cfg: DetectorConfig,
     arch: Architecture,
     global_params: np.ndarray,
     validation,
-    standard: np.ndarray = None,
 ) -> Verdict:
-    """Rate the i-th update by a loss test against its comparison standard.
+    """Rate an update by a loss test against its comparison standard.
 
     Two candidate globals are built (global + update, global + standard)
     and evaluated on the server validation set; the loss-test rule turns
-    the pair of losses into a rate. ``standard`` is the i-th comparison
-    standard when the caller already holds it.
+    the pair of losses into a rate.
     """
-    if standard is None:
-        standard = comparison_standard(updates, i)
-    loss_i = mse_loss(arch, global_params + updates[i].delta, validation)
+    loss_i = mse_loss(arch, global_params + update.delta, validation)
     loss_st = mse_loss(arch, global_params + standard, validation)
     rate, e2 = loss_test_rate(loss_i, loss_st, cfg)
     return Verdict(
-        node_id=updates[i].node_id,
+        node_id=update.node_id,
         rate=rate,
         components={"e2": e2, "loss_i": loss_i, "loss_st": loss_st},
     )
@@ -146,23 +134,24 @@ def evaluate(
     global_params: np.ndarray = None,
     validation=None,
 ) -> list[Verdict]:
-    """Verdicts for every submitted update under the configured detector.
+    """Verdicts for every submitted update under the configured detector,
+    or none when it is off.
 
     For mix detection, the per-node rate is the minimum of the norm and
     accuracy rates, so flagged(mix) is exactly the union of the two.
     """
     if cfg.kind == "off":
-        return [Verdict(node_id=u.node_id, rate=1.0) for u in updates]
-    standards = comparison_standard(updates, slice(None))
+        return []
+    standards = comparison_standard(updates)
     if cfg.kind == "norm":
-        return [norm_rate(updates, i, cfg, st) for i, st in enumerate(standards)]
+        return [norm_rate(u, st, cfg) for u, st in zip(updates, standards)]
     acc_v = [
-        accuracy_rate(updates, i, cfg, arch, global_params, validation, st)
-        for i, st in enumerate(standards)
+        accuracy_rate(u, st, cfg, arch, global_params, validation)
+        for u, st in zip(updates, standards)
     ]
     if cfg.kind == "accuracy":
         return acc_v
-    norm_v = [norm_rate(updates, i, cfg, st) for i, st in enumerate(standards)]
+    norm_v = [norm_rate(u, st, cfg) for u, st in zip(updates, standards)]
     return [
         Verdict(
             node_id=nv.node_id,

@@ -15,11 +15,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import csvio
+from .adversary import Attacker
 from .config import ExperimentConfig
 from .data import ingest_csv, load_cache, partition, split_holdout, synthesize
 from .detection import DetectorConfig, detection_accuracy
 from .federation import (
-    Attacker,
     EmptyAggregationError,
     FederationConfig,
     FederationState,
@@ -82,7 +82,7 @@ def run_training(
     state: FederationState,
     fed_cfg: FederationConfig,
     attacker: Optional[Attacker] = None,
-    detector: Optional[DetectorConfig] = None,
+    detector: DetectorConfig = DetectorConfig(),
 ) -> tuple[list[RoundRecord], str]:
     """Run episodes until the configured count or the ledger stop.
 

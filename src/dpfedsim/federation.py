@@ -66,7 +66,6 @@ class RoundRecord:
     # diagnostics, not part of the aggregation contract
     verdicts: tuple = ()
     active_compromised: tuple[int, ...] = ()
-    gamma_episode: Optional[float] = None
 
     def same_outcome(self, other: "RoundRecord") -> bool:
         """Bitwise equality of the federation-visible fields."""
@@ -95,7 +94,6 @@ class FederationState:
     ledger: PrivacyLedger
     server_validation: Optional[tuple[np.ndarray, np.ndarray]] = None
     episode: int = 0
-    attack_state: Optional[adv.AttackState] = None
 
     @classmethod
     def create(
@@ -148,27 +146,28 @@ def aggregate(global_params: np.ndarray, updates: Sequence[ModelUpdate]) -> np.n
 def _submission(
     raw: ModelUpdate,
     cfg: FederationConfig,
-    attacker: Optional["Attacker"],
-    node_gamma: dict[int, float],
+    attacker: Optional[adv.Attacker],
+    gamma: float,
 ) -> ModelUpdate:
-    """Clip and noise one trained update (adversarially for compromised nodes)."""
+    """Clip and noise one trained update (adversarially, with the episode's
+    degree of poisoning gamma, for compromised nodes)."""
     clipped = clip(raw, cfg.privacy.clip_c)
     noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
     if attacker is not None and raw.node_id in attacker.config.compromised:
-        return adv.inject(clipped, cfg.privacy, attacker.config, node_gamma[raw.node_id], noise_rng)
+        return adv.inject(clipped, cfg.privacy, attacker.config, gamma, noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
 
 
 def run_episode(
     state: FederationState,
     cfg: FederationConfig,
-    attacker: Optional["Attacker"] = None,
-    detector: Optional[det.DetectorConfig] = None,
+    attacker: Optional[adv.Attacker] = None,
+    detector: det.DetectorConfig = det.DetectorConfig(),
 ) -> RoundRecord:
     """Execute one full federation episode and advance the state."""
     if state.ledger.stopped:
         raise RuntimeError("privacy ledger exhausted; cannot run another episode")
-    if detector is not None and detector.kind in ("accuracy", "mix") and state.server_validation is None:
+    if detector.kind in ("accuracy", "mix") and state.server_validation is None:
         raise ValueError(f"{detector.kind} detection requires a server validation set")
     state.episode += 1
     t = state.episode
@@ -180,21 +179,10 @@ def run_episode(
 
     # The controller observes the just-received global model before any
     # local work happens; it only steps when compromised nodes actually
-    # participate this episode. On a stop signal, a configured fraction
-    # of the active compromised nodes pauses (degree 0) while the rest
-    # keep the last nonzero degree.
-    node_gamma: dict[int, float] = {}
-    gamma_episode = None
+    # participate this episode, and all of them poison with its degree.
+    gamma = 0.0
     if attacker and active_compromised:
-        gamma_episode = attacker.gamma_for_episode(state)
-        if gamma_episode == 0.0:
-            paused = adv.stopped_nodes(active_compromised, attacker.config)
-            fallback = attacker.state.gamma_current if attacker.adaptive else 0.0
-            node_gamma = {
-                i: (0.0 if i in paused else fallback) for i in active_compromised
-            }
-        else:
-            node_gamma = {i: gamma_episode for i in active_compromised}
+        gamma = attacker.gamma_for_episode(state)
 
     # rmd nodes submit a random vector instead of training; every other
     # node, compromised or not, trains in one stack
@@ -218,19 +206,16 @@ def run_episode(
                                node_id=i, episode=t)
             )
         else:
-            submitted.append(_submission(raw[i], cfg, attacker, node_gamma))
+            submitted.append(_submission(raw[i], cfg, attacker, gamma))
 
-    flagged: frozenset[int] = frozenset()
-    verdicts: list[det.Verdict] = []
-    if detector is not None and detector.kind != "off":
-        verdicts = det.evaluate(
-            submitted,
-            detector,
-            state.arch,
-            state.global_params,
-            state.server_validation,
-        )
-        flagged = frozenset(v.node_id for v in verdicts if v.flagged)
+    verdicts = det.evaluate(
+        submitted,
+        detector,
+        state.arch,
+        state.global_params,
+        state.server_validation,
+    )
+    flagged = frozenset(v.node_id for v in verdicts if v.flagged)
 
     survivors = [u for u in submitted if u.node_id not in flagged]
     if not survivors:
@@ -249,50 +234,4 @@ def run_episode(
         delta_cumulative=state.ledger.cumulative_delta,
         verdicts=tuple(verdicts),
         active_compromised=tuple(active_compromised),
-        gamma_episode=gamma_episode,
     )
-
-
-class Attacker:
-    """Per-run attacker wrapper: mode, config, and controller state."""
-
-    def __init__(self, kind: str, config: adv.AttackConfig):
-        if kind not in ("rmd", "mpelm"):
-            raise ValueError(f"unknown attack kind: {kind!r}")
-        self.kind = kind
-        self.config = config
-        self.state = adv.AttackState.initial(config.gamma0)
-        self.trace: list[dict] = []
-
-    @property
-    def adaptive(self) -> bool:
-        return self.kind == "mpelm" and self.config.gamma_fixed is None
-
-    def gamma_for_episode(self, state: FederationState) -> float:
-        """Degree of poisoning for this episode; steps the controller when adaptive."""
-        if self.kind == "rmd":
-            return 0.0
-        if self.config.gamma_fixed is not None:
-            self.trace.append(
-                {
-                    "episode": state.episode,
-                    "gamma_t": self.config.gamma_fixed,
-                    "gamma_current": self.config.gamma_fixed,
-                    "loss_ratio": float("nan"),
-                    "avg_compromised_val_loss": float("nan"),
-                }
-            )
-            return self.config.gamma_fixed
-        shards = [state.shards[i] for i in sorted(self.config.compromised)]
-        current = adv.episodic_loss(state.arch, state.global_params, shards)
-        self.state = adv.tune_poison_degree(self.state, current, self.config)
-        self.trace.append(
-            {
-                "episode": state.episode,
-                "gamma_t": self.state.gamma_episode,
-                "gamma_current": self.state.gamma_current,
-                "loss_ratio": self.state.loss_ratio,
-                "avg_compromised_val_loss": current,
-            }
-        )
-        return self.state.gamma_episode

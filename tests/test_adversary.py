@@ -12,7 +12,6 @@ from dpfedsim.adversary import (
     episodic_loss,
     inject,
     rmd_update,
-    stopped_nodes,
     tune_poison_degree,
 )
 from dpfedsim.data import partition, synthesize
@@ -171,12 +170,6 @@ def test_episodic_loss_averages_shards():
     assert episodic_loss(arch, params, shards) == pytest.approx(oracle, rel=1e-14)
 
 
-def test_stopped_nodes_fraction():
-    assert stopped_nodes([3, 1, 5], _cfg(stop_fraction=1.0)) == {1, 3, 5}
-    assert stopped_nodes([3, 1, 5], _cfg(stop_fraction=0.34)) == {1}
-    assert stopped_nodes([3, 1, 5], _cfg(stop_fraction=0.0)) == set()
-
-
 def test_attack_config_validation():
     with pytest.raises(ValueError):
         _cfg(rho=0.0)
@@ -184,8 +177,8 @@ def test_attack_config_validation():
         _cfg(r_hi=0.9)
     with pytest.raises(ValueError):
         _cfg(r_lo=1.1)
-    with pytest.raises(ValueError):
-        _cfg(stop_fraction=1.5)
+    with pytest.raises(ValueError, match="fixed degree"):
+        _cfg(gamma_fixed=-1.0)
 
 
 # random-update baseline --------------------------------------------------

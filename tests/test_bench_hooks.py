@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpfedsim import cli, experiment, presets, rdp
+from dpfedsim import cli, csvio, experiment, presets, rdp
 from dpfedsim.config import ExperimentConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -52,6 +52,9 @@ def test_hooks_trace_a_smoke_run(tracer, tmp_path):
     assert _calls(tracer, traced, "detection.evaluate") == 3
     # the leave-one-out standards come from one sum per episode, not one per node
     assert _calls(tracer, traced, "detection.comparison_standard") <= 3
+    # the smoke attacker is adaptive: one controller loss per attack.csv row
+    attack_rows = csvio.read_csv(bundle.csv_paths["attack"], "attack", experiment.SCHEMAS["attack"])
+    assert _calls(tracer, traced, "adversary.episodic_loss") == len(attack_rows) > 0
     assert traced.counters["data.samples"] == 200
 
 

@@ -196,6 +196,14 @@ def test_cli_usage_error_exit_code(tmp_path):
         pytest.param("data.server_split = 1.5", "data.server_split", id="server_split_range"),
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
         pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
+        pytest.param(
+            "federation.participants = 1\ndetector.kind = norm", "federation.participants",
+            id="one_participant_with_detector",
+        ),
+        pytest.param(
+            "attack.mode = mpelm\nattack.m = 2\nattack.gamma_fixed = -1", "attack: fixed degree",
+            id="negative_gamma_fixed",
+        ),
     ],
 )
 def test_cli_invalid_config_fails_at_parse_time(tmp_path, capsys, line, path):
@@ -221,6 +229,20 @@ def test_cli_preset_continues_past_a_diverging_cell(tmp_path, monkeypatch, capsy
     assert "diverges: diverged at episode 1, node 2, step 1" in capsys.readouterr().out
     assert not (tmp_path / "diverges" / "summary.csv").exists()
     assert (tmp_path / "fine" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        pytest.param(["train", "--preset", "smoke", "--detector", "mix"], "--detector", id="train_detector"),
+        pytest.param(["attack", "--preset", "smoke", "--mode", "rmd"], "--mode", id="attack_mode"),
+    ],
+)
+def test_cli_preset_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_preset_rejected():

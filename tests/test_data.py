@@ -85,12 +85,6 @@ def test_header_mismatch_errors(tmp_path):
         ingest_csv(path)
 
 
-def test_policy_fail_raises_on_missing(tmp_path):
-    rows = ["16/12/2006;17:25:00;?;0.4;230;18;0;1;17"]
-    with pytest.raises(IngestionError, match="missing"):
-        ingest_csv(_write_csv(tmp_path, rows), policy="fail")
-
-
 def test_cache_roundtrip(tmp_path):
     rows = [_row([1 + i, 0.4, 230 + i, 18, 0, 1, 17]) for i in range(4)]
     path = _write_csv(tmp_path, rows)

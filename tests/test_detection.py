@@ -24,17 +24,21 @@ def _ups(rows):
             for i, r in enumerate(rows)]
 
 
+def _norm(ups, i, cfg=CFG):
+    return norm_rate(ups[i], comparison_standard(ups)[i], cfg)
+
+
 # comparison standard -------------------------------------------------
 
 def test_standard_of_identical_updates():
     ups = _ups([(2.0, -1.0)] * 5)
-    for i in range(5):
-        assert np.allclose(comparison_standard(ups, i), [2.0, -1.0])
+    for standard in comparison_standard(ups):
+        assert np.allclose(standard, [2.0, -1.0])
 
 
 def test_standard_excludes_self():
     ups = _ups([(2, 0), (0, 0), (0, 0)])
-    assert np.allclose(comparison_standard(ups, 0), [0.0, 0.0])
+    assert np.allclose(comparison_standard(ups)[0], [0.0, 0.0])
 
 
 def test_standard_matches_leave_one_out_mean():
@@ -44,12 +48,12 @@ def test_standard_matches_leave_one_out_mean():
         ups = _ups(rows)
         i = trial % 5
         oracle = np.mean([r for j, r in enumerate(rows) if j != i], axis=0)
-        assert np.allclose(comparison_standard(ups, i), oracle, rtol=1e-12)
+        assert np.allclose(comparison_standard(ups)[i], oracle, rtol=1e-12)
 
 
 def test_standard_needs_two_updates():
     with pytest.raises(ValueError):
-        comparison_standard(_ups([(1, 2)]), 0)
+        comparison_standard(_ups([(1, 2)]))
 
 
 # norm detection -------------------------------------------------------
@@ -57,14 +61,14 @@ def test_standard_needs_two_updates():
 def test_norm_identical_updates_pass():
     ups = _ups([(1.0, 1.0)] * 4)
     for i in range(4):
-        v = norm_rate(ups, i, CFG)
+        v = _norm(ups, i)
         assert v.rate == 1.0 and not v.flagged and v.components["e1"] == 0.0
 
 
 def test_norm_hand_evaluated_fixture():
     # st = (1,0); d = 4; e1 = 4; rate = clamp(1 - 3) = 0
     ups = _ups([(1, 0), (1, 0), (1, 0), (3, 0)])
-    v = norm_rate(ups, 3, CFG)
+    v = _norm(ups, 3)
     assert v.components["d"] == 4.0
     assert v.components["e1"] == 4.0
     assert v.rate == 0.0 and v.flagged
@@ -73,13 +77,13 @@ def test_norm_hand_evaluated_fixture():
 def test_norm_boundary_not_flagged():
     # e1 exactly beta1: max(0, 0) = 0 -> rate 1
     ups = _ups([(1, 0), (1, 0), (1, 0), (2, 0)])
-    v = norm_rate(ups, 3, CFG)
+    v = _norm(ups, 3)
     assert v.components["e1"] == 1.0 and v.rate == 1.0 and not v.flagged
 
 
 def test_norm_dmax_cap():
     ups = _ups([(0.1, 0), (0.1, 0), (0.1, 0), (100, 0)])
-    v = norm_rate(ups, 3, CFG)
+    v = _norm(ups, 3)
     assert v.components["e1"] == CFG.d_max
 
 
@@ -87,7 +91,7 @@ def test_norm_degenerate_standard():
     # standard is the zero vector but the update deviates: e1 = d_max
     ups = _ups([(1, 0), (-1, 0), (0.5, 0.5)])
     # for i=2 the standard is mean of (1,0), (-1,0) = (0,0)
-    v = norm_rate(ups, 2, CFG)
+    v = _norm(ups, 2)
     assert v.components["e1"] == CFG.d_max and v.flagged
 
 
@@ -97,7 +101,7 @@ def test_norm_rate_in_unit_interval(seed):
     rng = substream(seed, "fuzz")
     ups = _ups(rng.normal(0, 2, size=(4, 6)))
     for i in range(4):
-        v = norm_rate(ups, i, CFG)
+        v = _norm(ups, i)
         assert 0.0 <= v.rate <= 1.0
         assert v.flagged == (v.rate < 1.0)
 
@@ -105,8 +109,8 @@ def test_norm_rate_in_unit_interval(seed):
 def test_norm_verdicts_pure_function_of_updates():
     rng = substream(23, "pure")
     rows = rng.normal(0, 1, size=(5, 4))
-    a = [norm_rate(_ups(rows), i, CFG) for i in range(5)]
-    b = [norm_rate(_ups(rows), i, CFG) for i in range(5)]
+    a = [_norm(_ups(rows), i) for i in range(5)]
+    b = [_norm(_ups(rows), i) for i in range(5)]
     assert [(v.rate, v.flagged) for v in a] == [(v.rate, v.flagged) for v in b]
 
 
@@ -164,10 +168,11 @@ def test_accuracy_rate_end_to_end_flags_loss_increaser():
     hostile = ModelUpdate(delta=rng.normal(3.0, 1.0, arch.n_params), node_id=3, episode=1)
     ups = benign + [hostile]
     cfg = DetectorConfig(kind="accuracy", beta2=0.1, orientation="reversed")
-    v = accuracy_rate(ups, 3, cfg, arch, params, val)
+    standards = comparison_standard(ups)
+    v = accuracy_rate(ups[3], standards[3], cfg, arch, params, val)
     assert v.components["loss_i"] > v.components["loss_st"]
     assert v.flagged
-    v0 = accuracy_rate(ups, 0, cfg, arch, params, val)
+    v0 = accuracy_rate(ups[0], standards[0], cfg, arch, params, val)
     assert not v0.flagged  # zero update against near-zero standard
 
 
@@ -197,19 +202,22 @@ def test_mix_is_union_of_flag_sets():
 
 @pytest.mark.parametrize("n", [2, 5, 30])
 def test_evaluate_equals_per_node_standard_oracle(n):
-    # evaluate derives every standard from one sum; the oracle rebuilds
-    # each node's standard alone with comparison_standard(updates, i)
+    # evaluate derives every standard from one stacked sum; the oracle
+    # builds each node's standard alone as (sum - d_i) / (n - 1)
     arch, params, val, rng = _accuracy_setup(n)
-    ups = _ups(rng.normal(0, 1.0, size=(n, arch.n_params)))
+    rows = rng.normal(0, 1.0, size=(n, arch.n_params))
+    ups = _ups(rows)
+    total = np.sum(rows, axis=0)
+    alone = [(total - rows[i]) / (n - 1) for i in range(n)]
     cfg = {kind: DetectorConfig(kind=kind, beta1=0.8, beta2=0.05) for kind in ("norm", "accuracy", "mix")}
-    norm = [norm_rate(ups, i, cfg["norm"]) for i in range(n)]
-    acc = [accuracy_rate(ups, i, cfg["accuracy"], arch, params, val) for i in range(n)]
+    norm = [norm_rate(ups[i], alone[i], cfg["norm"]) for i in range(n)]
+    acc = [accuracy_rate(ups[i], alone[i], cfg["accuracy"], arch, params, val) for i in range(n)]
     for i in range(n):
-        alone = comparison_standard(ups, i)
-        diff = ups[i].delta - alone
+        diff = ups[i].delta - alone[i]
         assert norm[i].components["d"] == float(diff @ diff)
-        assert acc[i].components["loss_st"] == mse_loss(arch, params + alone, val)
-    assert np.array_equal(comparison_standard(ups, slice(None)), [comparison_standard(ups, i) for i in range(n)])
+        assert acc[i].components["loss_st"] == mse_loss(arch, params + alone[i], val)
+    assert np.array_equal(comparison_standard(ups), alone)
+    assert evaluate(ups, DetectorConfig(kind="off")) == []
 
     def terms(verdicts):
         return [(v.node_id, v.rate, v.components) for v in verdicts]

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dpfedsim.adversary import AttackConfig, inject, rmd_update
+from dpfedsim.adversary import AttackConfig, Attacker, inject, rmd_update
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition, synthesize
 from dpfedsim.detection import DetectorConfig
 from dpfedsim.experiment import build_attacker, prepare_state, run_training
 from dpfedsim.federation import (
-    Attacker,
     EmptyAggregationError,
     FederationConfig,
     FederationState,
@@ -142,7 +141,7 @@ def test_episode_detector_noop_matches_off():
     permissive = DetectorConfig(kind="norm", beta1=1e9, d_max=10.0)
     s_off = _state(cfg)
     s_on = _state(cfg)
-    r_off = run_episode(s_off, cfg, None, None)
+    r_off = run_episode(s_off, cfg, None, DetectorConfig())
     r_on = run_episode(s_on, cfg, None, permissive)
     assert r_on.flagged == frozenset()
     assert r_off.same_outcome(r_on)
@@ -219,19 +218,31 @@ def test_training_bitwise_reproducible():
     assert all(x.same_outcome(y) for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("attack", [None, "mpelm", "rmd"])
-def test_training_equals_per_node_reference(attack):
+@pytest.mark.parametrize(
+    "attack,gamma_fixed",
+    [
+        pytest.param(None, None, id="None"),
+        pytest.param("mpelm", 0.5, id="mpelm"),
+        pytest.param("rmd", 0.5, id="rmd"),
+        pytest.param("mpelm", None, id="mpelm_adaptive"),
+    ],
+)
+def test_training_equals_per_node_reference(attack, gamma_fixed):
     # each submission recomputed alone: one-shard local_train, clip, then
-    # noise (inject for compromised nodes) or the rmd draw, from the same
+    # noise (inject with the episode's one degree from the attacker's
+    # trace for compromised nodes) or the rmd draw, from the same
     # substreams and the global model the episode started from
     cfg = _fed_cfg(k=8, n=5, episodes=3)
     state = _state(cfg)
     attacker = None
     if attack:
-        attacker = Attacker(attack, AttackConfig(compromised=frozenset({1, 4}), gamma_fixed=0.5))
+        attacker = Attacker(attack, AttackConfig(compromised=frozenset({1, 4}), gamma_fixed=gamma_fixed))
     params = state.global_params.copy()
     records, status = run_training(state, cfg, attacker)
     assert status == "ok" and len(records) == 3
+    gamma = {row["episode"]: row["gamma_t"] for row in attacker.trace} if attacker else {}
+    if attack == "mpelm" and gamma_fixed is None:
+        assert 0.0 in gamma.values()  # the controller paused once: the one degree is then 0
     seen_compromised = 0
     for rec in records:
         t = rec.episode
@@ -247,7 +258,7 @@ def test_training_equals_per_node_reference(attack):
                 clipped = clip(raw, cfg.privacy.clip_c)
                 noise_rng = substream(cfg.seed, "noise", t, i)
                 if i in rec.active_compromised:
-                    expected = inject(clipped, cfg.privacy, attacker.config, 0.5, noise_rng)
+                    expected = inject(clipped, cfg.privacy, attacker.config, gamma[t], noise_rng)
                 else:
                     expected = add_noise(clipped, cfg.privacy, noise_rng)
             seen_compromised += i in rec.active_compromised
