@@ -117,8 +117,16 @@ def _cmd_train(args, forced_mode=None) -> int:
         for flag in ("detector", "mode"):
             if getattr(args, flag, None):
                 raise UsageError(f"--{flag} cannot be combined with --preset, which sets it per cell")
+        cells = presets.expand(args.preset)
+        if getattr(args, "config", None):
+            preset_keys = set().union(*(overrides for _name, overrides in cells))
+            clash = sorted(preset_keys.intersection(parse_file(args.config)))
+            if clash:
+                raise UsageError(
+                    f"--config sets {', '.join(clash)}, which --preset {args.preset} sets per cell"
+                )
         worst = EXIT_OK
-        for name, overrides in presets.expand(args.preset):
+        for name, overrides in cells:
             cfg = _load_config(args, overrides)
             try:
                 worst = max(worst, _run_single(cfg, out_root / name))
@@ -186,8 +194,11 @@ def read_tables(path) -> rdp.LossTables:
 
 
 def _cmd_rdp_train(args) -> int:
+    try:
+        hyper = rdp.RdpHyper(alpha=args.alpha, zeta=args.zeta, max_episodes=args.episodes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     tables = read_tables(args.tables)
-    hyper = rdp.RdpHyper(alpha=args.alpha, zeta=args.zeta, max_episodes=args.episodes)
     result = rdp.train(tables, hyper, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -145,7 +146,7 @@ def ingest_csv(path, cache_dir=None) -> Dataset:
     cleaned copy keyed by the file's content hash is reused or written
     (see ``cache_path``).
     """
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if cache_dir is not None:
         cached = cache_path(cache_dir, raw)
         if cached.exists():
@@ -197,16 +198,12 @@ def ingest_csv(path, cache_dir=None) -> Dataset:
 
 def cache_path(cache_dir, raw_bytes: bytes):
     """Cache file location for a source file's content."""
-    from pathlib import Path
-
     digest = hashlib.sha256(raw_bytes).hexdigest()
     return Path(cache_dir) / f"{digest}.npz"
 
 
 def save_cache(path, data: Dataset) -> None:
     """Write a cleaned dataset as an .npz cache (see README for the format)."""
-    from pathlib import Path
-
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, version=CACHE_VERSION, features=data.x, target=data.y)
 

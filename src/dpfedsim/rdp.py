@@ -62,6 +62,8 @@ class RdpHyper:
             raise ValueError("learning rate must be in (0, 1]")
         if not 0 <= self.zeta <= 1:
             raise ValueError("discount factor must be in [0, 1]")
+        if self.max_episodes < 1:
+            raise ValueError("episode count must be >= 1")
         if any(p < 0 for p in self.psi):
             raise ValueError("balancing weights must be >= 0")
 
@@ -236,17 +238,25 @@ def fit_tabular(
     if not np.all(np.isfinite(rewards)):
         raise ArithmeticError("non-finite rewards")
 
-    # action ordinals ascend within each row, so ties in argmax already
-    # break toward the lowest ordinal under a stable first-max scan
-    qvals = np.zeros((n_s, n_a))
+    # The sweep runs on nested Python lists: scalar indexing into numpy
+    # arrays costs more than the update arithmetic itself. Each update
+    # repeats the array sweep's IEEE operations in the same order, so the
+    # Q values are bitwise the ones numpy would compute.
+    next_rows = next_idx.tolist()
+    reward_rows = rewards.tolist()
+    qvals = [[0.0] * n_a for _ in range(n_s)]
+    # row_max[i] == max(qvals[i]) throughout, so the Bellman target and the
+    # greedy choice need no scan of the row
+    row_max = [0.0] * n_s
     alpha, zeta = hyper.alpha, hyper.zeta
+    keep = 1.0 - alpha
 
-    q = QTable(states, actions, qvals)
+    delta_trace = []
     episode_rewards = []
     for episode in range(hyper.max_episodes):
         explore = exploration_probability(episode, hyper)
-        explore_draws = rng.random(n_s)
-        random_actions = rng.integers(n_a, size=n_s)
+        explore_draws = rng.random(n_s).tolist()
+        random_actions = rng.integers(n_a, size=n_s).tolist()
         delta_sum = 0.0
         ep_reward = 0.0
         for i in range(n_s):
@@ -254,20 +264,27 @@ def fit_tabular(
             if explore_draws[i] < explore:
                 j = random_actions[i]
             else:
-                j = int(np.argmax(row))
-            nxt = next_idx[i, j]
-            r = rewards[i, j]
+                # action ordinals ascend within each row, so the first
+                # maximum is the lowest-ordinal tie, as np.argmax picks
+                j = row.index(row_max[i])
+            r = reward_rows[i][j]
             old = row[j]
-            new = (1.0 - alpha) * old + alpha * (r + zeta * qvals[nxt].max())
+            new = keep * old + alpha * (r + zeta * row_max[next_rows[i][j]])
             row[j] = new
+            if new >= row_max[i]:
+                row_max[i] = new
+            elif old == row_max[i]:
+                row_max[i] = max(row)
             delta_sum += abs(new - old)
             ep_reward += r
         mean_delta = delta_sum / n_s
         if not math.isfinite(mean_delta):
             raise ArithmeticError(f"non-finite Q values at episode {episode + 1}")
-        q.delta_trace.append(mean_delta)
+        delta_trace.append(mean_delta)
         episode_rewards.append(ep_reward)
-    return q, episode_rewards
+    # the trace values stay np.float64, the type the array sweep produced
+    q = QTable(states, actions, np.array(qvals), list(np.array(delta_trace)))
+    return q, list(np.array(episode_rewards))
 
 
 @dataclass

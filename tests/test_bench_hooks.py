@@ -87,3 +87,31 @@ def test_hooks_trace_an_rdp_train(tracer):
     assert _calls(tracer, traced, "rdp.fit_tabular") == 1
     # the counter reads fit_tabular's positional (states, ..., hyper, seed) arguments
     assert traced.counters["rdp.q_updates"] == len(grid) * hyper.max_episodes
+
+
+def test_fit_tabular_steps_exploration_once_per_episode(monkeypatch):
+    """perfbench/calibration.py interleaves its kernel on the
+    ``rdp.exploration_probability`` binding, so ``fit_tabular`` must call it
+    through the module global, once per episode.
+
+    Bindings the benchmark records at import must stay bound too:
+    ``tracer._ORIGINALS`` reads ``federation.local_train`` when the tracer
+    loads, so that re-export stays although the program no longer calls it.
+    """
+    episodes = []
+    original = rdp.exploration_probability
+
+    def counting(episode, hyper):
+        episodes.append(episode)
+        return original(episode, hyper)
+
+    monkeypatch.setattr(rdp, "exploration_probability", counting)
+    tables = rdp.LossTables(
+        epsilon_grid=(0.5, 1.0, 1.5), m_l=np.array([3.0, 2.0, 1.0]), f_l=np.array([2.0, 1.5, 1.0])
+    )
+    states = [tables.state_at(i) for i in range(len(tables.epsilon_grid))]
+    hyper = rdp.RdpHyper(alpha=0.5, zeta=0.5, max_episodes=40)
+    rdp.fit_tabular(
+        states, rdp.ACTIONS, lambda s, a: rdp.step(s, a, tables), lambda _s, _a, _s2: 1.0, hyper, 0
+    )
+    assert episodes == list(range(hyper.max_episodes))

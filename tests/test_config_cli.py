@@ -245,6 +245,21 @@ def test_cli_preset_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+def test_cli_preset_rejects_config_keys_it_would_override(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("detector.kind = mix\noptimizer.kind = adamax\n")
+    out = tmp_path / "x"
+    assert main(["train", "--preset", "smoke", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "detector.kind" in err and "optimizer.kind" not in err
+    assert not out.exists()
+
+    # a file key that no cell sets still applies
+    cfg.write_text("optimizer.kind = adamax\n")
+    assert main(["train", "--preset", "smoke", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "optimizer.kind = adamax" in (out / "smoke" / "run_info.txt").read_text()
+
+
 def test_cli_unknown_preset_rejected():
     assert main(["train", "--preset", "nope", "--out", "/tmp/x"]) == 1
 
@@ -332,3 +347,23 @@ def test_cli_rdp_pipeline(tmp_path):
     assert len(trace) == 200
     qtable = csvio.read_csv(out / "qtable.csv", "qtable", 1)
     assert len(qtable) == 20 * 5  # grid x actions
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        pytest.param(["--episodes", "0"], "episode count", id="zero_episodes"),
+        pytest.param(["--episodes", "-3"], "episode count", id="negative_episodes"),
+        pytest.param(["--alpha", "2"], "learning rate", id="alpha"),
+        pytest.param(["--zeta", "1.5"], "discount factor", id="zeta"),
+    ],
+)
+def test_cli_rdp_train_rejects_invalid_hyper_parameters(tmp_path, capsys, flags, message):
+    tables = LossTables.from_cells(
+        [{"epsilon": eps, "gamma": 1.0, "seed": 0, "m_l": 2.0 / eps, "f_l": 1.0} for eps in (0.5, 1.0)]
+    )
+    path = write_tables(tmp_path / "lt.csv", tables)
+    out = tmp_path / "agent"
+    assert main(["rdp-train", "--tables", str(path), "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

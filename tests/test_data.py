@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,18 @@ def test_ingest_drops_missing_rows(tmp_path):
 def test_ingest_no_missing_keeps_all(tmp_path):
     rows = [_row([1 + i, 0.4, 230 + i, 18, 0, 1, 17]) for i in range(5)]
     assert len(ingest_csv(_write_csv(tmp_path, rows))) == 5
+
+
+def test_ingest_closes_its_source(tmp_path, monkeypatch):
+    path = _write_csv(tmp_path, [_row([1 + i, 0.4, 230 + i, 18, 0, 1, 17]) for i in range(4)])
+    # an unclosed file warns from its finalizer, where the error can only
+    # reach the unraisable hook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert len(ingest_csv(path)) == 4
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_degenerate_column_normalizes_to_zero(tmp_path):

@@ -17,6 +17,7 @@ from dpfedsim.rdp import (
     step,
     train,
 )
+from dpfedsim.rng import substream
 
 
 def _tables(m=None, f=None, grid=None):
@@ -134,6 +135,86 @@ def test_argmax_tie_breaks_to_lowest_ordinal():
     q.values[0, Action.INC2.value] = 1.0
     q.values[0, Action.DEC1.value] = 1.0
     assert q.argmax_action(s) == Action.DEC1
+
+
+# the sweep against its numpy form ---------------------------------------------
+
+def _numpy_sweep(states, actions, transition, reward_fn, hyper, seed):
+    """The sweep on numpy arrays, as fit_tabular once ran it: the oracle.
+
+    Also counts the greedy choices made among tied maxima and the updates
+    that lowered a row's maximum, so a case can show it reaches both.
+    """
+    rng = substream(seed, "rdp-train")
+    actions = sorted(actions, key=lambda a: a.value)
+    n_s, n_a = len(states), len(actions)
+    index = {s: i for i, s in enumerate(states)}
+    next_idx = np.array([[index[transition(s, a)] for a in actions] for s in states], dtype=np.intp)
+    rewards = np.array([[reward_fn(s, a, transition(s, a)) for a in actions] for s in states])
+    qvals = np.zeros((n_s, n_a))
+    alpha, zeta = hyper.alpha, hyper.zeta
+    deltas, episode_rewards = [], []
+    tied_greedy = lowered_max = 0
+    for episode in range(hyper.max_episodes):
+        explore = exploration_probability(episode, hyper)
+        explore_draws = rng.random(n_s)
+        random_actions = rng.integers(n_a, size=n_s)
+        delta_sum = 0.0
+        ep_reward = 0.0
+        for i in range(n_s):
+            row = qvals[i]
+            if explore_draws[i] < explore:
+                j = random_actions[i]
+            else:
+                j = int(np.argmax(row))
+                tied_greedy += int(np.sum(row == row[j]) > 1)
+            nxt = next_idx[i, j]
+            r = rewards[i, j]
+            old = row[j]
+            new = (1.0 - alpha) * old + alpha * (r + zeta * qvals[nxt].max())
+            lowered_max += int(new < old == row.max() and np.sum(row == old) == 1)
+            row[j] = new
+            delta_sum += abs(new - old)
+            ep_reward += r
+        deltas.append(delta_sum / n_s)
+        episode_rewards.append(ep_reward)
+    return qvals, deltas, episode_rewards, tied_greedy, lowered_max
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("mdp_seed,alpha", [(0, 0.5), (1, 1.0), (2, 0.1)])
+def test_sweep_equals_numpy_sweep(mdp_seed, alpha, zeta):
+    gen = np.random.default_rng(mdp_seed)
+    n_s, n_a = 7, len(ACTIONS)
+    states = [RdpState(0, 0, i) for i in range(n_s)]
+    next_idx = gen.integers(n_s, size=(n_s, n_a))
+    next_idx[:, Action.STATIC.value] = np.arange(n_s)  # self-loops
+    # small integer rewards of both signs, so Q values tie and fall
+    rewards = gen.integers(-2, 3, size=(n_s, n_a)).astype(float)
+    # state 0 is absorbing at reward 0: its row stays all zeros, so every
+    # greedy choice there is a five-way tie. State 1 pays only negative
+    # rewards into it, so its row maximum falls below 0.
+    next_idx[:2] = 0
+    rewards[0] = 0.0
+    rewards[1] = -gen.integers(1, 4, size=n_a)
+
+    def transition(s, a):
+        return states[next_idx[s.epsilon_index, a.value]]
+
+    def reward_fn(s, a, _s2):
+        return float(rewards[s.epsilon_index, a.value])
+
+    hyper = RdpHyper(alpha=alpha, zeta=zeta, max_episodes=400)
+    q, episode_rewards = fit_tabular(states, ACTIONS, transition, reward_fn, hyper, seed=mdp_seed)
+    values, deltas, oracle_rewards, tied_greedy, lowered_max = _numpy_sweep(
+        states, ACTIONS, transition, reward_fn, hyper, seed=mdp_seed
+    )
+
+    assert tied_greedy > 0 and lowered_max > 0
+    assert np.array_equal(q.values, values)
+    # repr pins the element type (np.float64) along with the value
+    assert [repr(v) for v in q.delta_trace] == [repr(v) for v in deltas]
+    assert [repr(v) for v in episode_rewards] == [repr(v) for v in oracle_rewards]
 
 
 # training -----------------------------------------------------------------
