@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import presets, rdp
-from .adversary import adversarial_mu, inject, rmd_update
+from .adversary import AttackConfig, adversarial_mu, inject, rmd_update
 from .config import ExperimentConfig
 from .detection import (
     DetectorConfig,
@@ -29,7 +29,8 @@ from .detection import (
     loss_test_rate,
     norm_rate,
 )
-from .experiment import build_attacker, final_loss_runner, prepare_state, run, run_training
+from .experiment import final_loss_runner, prepare_state, run, run_training
+from .federation import FederationConfig, FederationState, RoundRecord
 from .model import Architecture, ModelUpdate, forward, gradient, init_params, local_train
 from .privacy import PrivacySpec, add_noise, calibrate_sigma, clip
 from .rng import substream, substream_seed
@@ -86,7 +87,7 @@ def _train_run(overrides: dict):
     cfg = ExperimentConfig.from_dict(overrides)
     state, fed_cfg = prepare_state(cfg)
     initial = state.global_validation_loss()
-    records, status = run_training(state, fed_cfg, build_attacker(cfg), cfg.detector_config())
+    records, status = run_training(state, fed_cfg, cfg.attack_config(), cfg.detector_config())
     if status != "ok":
         raise RuntimeError(f"run ended early: {status}")
     return initial, records
@@ -239,10 +240,10 @@ def _stealth_direction(_workdir) -> tuple[bool, str]:
              "detector.kind": kind, "seed": seed}
         )
         state, fed_cfg = prepare_state(cfg)
-        attacker = build_attacker(cfg)
-        records, status = run_training(state, fed_cfg, attacker, cfg.detector_config())
+        attack = cfg.attack_config()
+        records, status = run_training(state, fed_cfg, attack, cfg.detector_config())
         aborts += status != "ok"  # a degenerate all-flagged episode ends the run
-        return detection_accuracy([r.verdicts for r in records], attacker.config.compromised)
+        return detection_accuracy([r.verdicts for r in records], attack.compromised)
 
     gaps = {}
     ok = True
@@ -441,29 +442,33 @@ def _detector_oracles(_workdir) -> tuple[bool, str]:
 
 # 12 ----------------------------------------------------------------
 
-def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, int]]]:
-    """Replay a run one node at a time: (submissions checked, mismatches).
+def replay_per_node(
+    state: FederationState,
+    fed_cfg: FederationConfig,
+    attack: AttackConfig = AttackConfig(),
+    detector: DetectorConfig = DetectorConfig(),
+) -> tuple[list[RoundRecord], str, list[tuple[int, int]]]:
+    """Run training from ``state``, then replay it one node at a time.
 
-    Every submission of every episode is recomputed alone, from the
-    global model that episode started from and the same substreams: a
-    one-shard local_train, then clip and noise (inject for compromised
-    nodes, with the episode's degree from the attacker's trace), or the
-    rmd draw. A mismatch is an (episode, node) pair whose delta differs in
-    any bit from the run's.
+    Returns the run's records and status, and its mismatches. Every
+    submission of every episode is recomputed alone, from the global
+    model that episode started from and the same substreams: a one-shard
+    local_train, then clip and noise (inject for compromised nodes, with
+    the episode's degree from the run's attack trace), or the rmd draw.
+    A mismatch is an (episode, node) pair whose delta differs in any bit
+    from the run's, or whose episode or step count differs.
     """
-    state, fed_cfg = prepare_state(cfg)
-    attacker = build_attacker(cfg)
     params = state.global_params.copy()
-    records, _status = run_training(state, fed_cfg, attacker, cfg.detector_config())
-    gamma = {row["episode"]: row["gamma_t"] for row in attacker.trace} if attacker else {}
+    records, status = run_training(state, fed_cfg, attack, detector)
+    gamma = {row["episode"]: row["gamma_t"] for row in state.attack_trace}
     spec, seed = fed_cfg.privacy, fed_cfg.seed
-    checked, mismatches = 0, []
+    mismatches = []
     for rec in records:
         t = rec.episode
         for update in rec.submitted:
             i = update.node_id
             compromised = i in rec.active_compromised
-            if compromised and attacker.kind == "rmd":
+            if compromised and attack.kind == "rmd":
                 expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i, episode=t)
             else:
                 raw = local_train(
@@ -474,12 +479,14 @@ def _per_node_mismatches(cfg: ExperimentConfig) -> tuple[int, list[tuple[int, in
                 if not compromised:
                     expected = add_noise(clipped, spec, noise_rng)
                 else:
-                    expected = inject(clipped, spec, attacker.config, gamma[t], noise_rng)
-            checked += 1
-            if not np.array_equal(expected.delta, update.delta):
+                    expected = inject(clipped, spec, attack, gamma[t], noise_rng)
+            if not (
+                np.array_equal(expected.delta, update.delta)
+                and (expected.episode, expected.steps) == (update.episode, update.steps)
+            ):
                 mismatches.append((t, i))
         params = rec.global_params_after
-    return checked, mismatches
+    return records, status, mismatches
 
 
 @criterion(12, "runs are byte-identical across repeats and against per-node training")
@@ -499,12 +506,16 @@ def _determinism(workdir) -> tuple[bool, str]:
     ]
     if mismatches:
         return False, f"mismatched CSVs: {mismatches}"
-    checked, differing = _per_node_mismatches(cfg)
+    state, fed_cfg = prepare_state(cfg)
+    records, _status, differing = replay_per_node(
+        state, fed_cfg, cfg.attack_config(), cfg.detector_config()
+    )
+    checked = sum(len(rec.submitted) for rec in records)
     if differing:
         return False, f"{len(differing)} of {checked} submissions differ from per-node training: {differing[:5]}"
     return True, (
         "episodes/ledger/attack/detection/summary CSVs identical across serial x2; "
-        f"all {checked} submissions equal per-node training"
+        f"all {checked} submissions equal per-node training in delta and steps"
     )
 
 

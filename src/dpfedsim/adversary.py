@@ -26,6 +26,9 @@ from .privacy import PrivacySpec
 
 @dataclass(frozen=True)
 class AttackConfig:
+    """The run's attack; the default, kind "none", is no attack."""
+
+    kind: str = "none"  # "none" | "rmd" | "mpelm"
     compromised: frozenset[int] = frozenset()
     theta: float = 0.0
     rho: float = 0.1
@@ -35,29 +38,20 @@ class AttackConfig:
     gamma_fixed: Optional[float] = None  # set to disable adaptation
 
     def __post_init__(self):
+        if self.kind not in ("none", "rmd", "mpelm"):
+            raise ValueError(f"unknown attack kind: {self.kind!r}")
+        if self.kind == "none" and self.compromised:
+            raise ValueError("compromised nodes need an attack kind other than none")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if not self.r_lo < 1.0 < self.r_hi:
-            raise ValueError("loss-ratio thresholds must straddle 1")
+        if not self.r_lo < 1.0:
+            raise ValueError("loss-ratio threshold r_lo must be below 1")
+        if not self.r_hi > 1.0:
+            raise ValueError("loss-ratio threshold r_hi must be above 1")
         if self.gamma0 < 0:
-            raise ValueError("initial degree of poisoning must be >= 0")
+            raise ValueError("initial degree of poisoning gamma0 must be >= 0")
         if self.gamma_fixed is not None and self.gamma_fixed < 0:
-            raise ValueError("fixed degree of poisoning must be >= 0")
-
-
-@dataclass(frozen=True)
-class AttackState:
-    """Controller memory: loss history and the current degree of poisoning."""
-
-    episodic_losses: tuple[float, ...] = ()
-    gamma_current: float = 1.0
-    gamma_episode: float = 1.0
-    loss_ratio: float = 0.0
-
-    @classmethod
-    def initial(cls, gamma0: float) -> "AttackState":
-        return cls(episodic_losses=(), gamma_current=gamma0,
-                   gamma_episode=gamma0, loss_ratio=0.0)
+            raise ValueError("fixed degree of poisoning gamma_fixed must be >= 0")
 
 
 def adversarial_mu(theta: float, gamma: float, sigma_x: float) -> float:
@@ -101,38 +95,66 @@ def episodic_loss(
     return float(np.mean(losses))
 
 
-def tune_poison_degree(state: AttackState, current_loss: float, cfg: AttackConfig) -> AttackState:
-    """One controller step: memorize the episode loss and retune gamma.
+def tune_poison_degree(
+    history: Sequence[float], gamma: float, current_loss: float, cfg: AttackConfig
+) -> tuple[float, float, float]:
+    """One controller step: (gamma_episode, gamma_current, loss_ratio).
 
-    The loss ratio compares the current loss to the mean of all previous
-    episodes' losses. Well above 1 the attack pauses (gamma_episode 0,
-    last nonzero gamma retained); well below 1 it is amplified in
-    proportion to the ratio; near 1 it is damped the same way. Before any
-    history exists the initial gamma is used unchanged.
+    ``history`` holds the previous episodes' losses and ``gamma`` the
+    current degree of poisoning. The loss ratio compares the current loss
+    to the mean of the history. Well above 1 the attack pauses
+    (gamma_episode 0, last nonzero gamma retained as gamma_current); well
+    below 1 it is amplified in proportion to the ratio; near 1 it is
+    damped the same way. Before any history exists gamma is used
+    unchanged.
     """
-    history = state.episodic_losses
     if not history:
         ratio = 0.0
-        gamma_episode = state.gamma_current
+        gamma_episode = gamma
     else:
         hist_mean = float(np.mean(history))
         # zero historical mean leaves the ratio undefined; fall through
         # to the damping branch at ratio 1
         ratio = current_loss / hist_mean if hist_mean != 0.0 else 1.0
-        gamma = state.gamma_current
         if ratio > cfg.r_hi:
             gamma_episode = 0.0
         elif ratio < cfg.r_lo:
             gamma_episode = gamma + cfg.rho * ratio * gamma
         else:
             gamma_episode = max(0.0, gamma - cfg.rho * ratio * gamma)
+    return gamma_episode, gamma_episode if gamma_episode != 0.0 else gamma, ratio
 
-    return AttackState(
-        episodic_losses=history + (current_loss,),
-        gamma_current=gamma_episode if gamma_episode != 0.0 else state.gamma_current,
-        gamma_episode=gamma_episode,
-        loss_ratio=ratio,
-    )
+
+def gamma_for_episode(state, cfg: AttackConfig) -> dict:
+    """The attack-trace row of the episode that ``state`` (the federation
+    state) has just entered; its gamma_t is the one degree of poisoning
+    every active compromised node injects with.
+
+    The run's trace so far, ``state.attack_trace``, is the controller's
+    memory: its losses are the history and its last gamma_current the
+    current degree (gamma0 before the first row). A fixed degree skips
+    the controller and records no loss.
+    """
+    if cfg.gamma_fixed is not None:
+        gamma_episode = gamma_current = cfg.gamma_fixed
+        ratio = current = float("nan")
+    else:
+        trace = state.attack_trace
+        shards = [state.shards[i] for i in sorted(cfg.compromised)]
+        current = episodic_loss(state.arch, state.global_params, shards)
+        gamma_episode, gamma_current, ratio = tune_poison_degree(
+            [row["avg_compromised_val_loss"] for row in trace],
+            trace[-1]["gamma_current"] if trace else cfg.gamma0,
+            current,
+            cfg,
+        )
+    return {
+        "episode": state.episode,
+        "gamma_t": gamma_episode,
+        "gamma_current": gamma_current,
+        "loss_ratio": ratio,
+        "avg_compromised_val_loss": current,
+    }
 
 
 def rmd_update(
@@ -152,50 +174,3 @@ def rmd_update(
     delta = direction * (spec.clip_c / norm)
     noisy = delta + spec.noise_std * rng.standard_normal(n_params)
     return ModelUpdate(delta=noisy, node_id=node_id, episode=episode)
-
-
-class Attacker:
-    """Per-run attacker: mode, config, controller state and its trace.
-
-    gamma_for_episode is the only source of an episode's degree of
-    poisoning; every active compromised node injects with that degree.
-    """
-
-    def __init__(self, kind: str, config: AttackConfig):
-        if kind not in ("rmd", "mpelm"):
-            raise ValueError(f"unknown attack kind: {kind!r}")
-        self.kind = kind
-        self.config = config
-        self.state = AttackState.initial(config.gamma0)
-        self.trace: list[dict] = []
-
-    def gamma_for_episode(self, state) -> float:
-        """Degree of poisoning for the episode that ``state`` (the
-        federation state) has just entered; steps the controller unless
-        the degree is fixed."""
-        if self.kind == "rmd":
-            return 0.0
-        if self.config.gamma_fixed is not None:
-            self.trace.append(
-                {
-                    "episode": state.episode,
-                    "gamma_t": self.config.gamma_fixed,
-                    "gamma_current": self.config.gamma_fixed,
-                    "loss_ratio": float("nan"),
-                    "avg_compromised_val_loss": float("nan"),
-                }
-            )
-            return self.config.gamma_fixed
-        shards = [state.shards[i] for i in sorted(self.config.compromised)]
-        current = episodic_loss(state.arch, state.global_params, shards)
-        self.state = tune_poison_degree(self.state, current, self.config)
-        self.trace.append(
-            {
-                "episode": state.episode,
-                "gamma_t": self.state.gamma_episode,
-                "gamma_current": self.state.gamma_current,
-                "loss_ratio": self.state.loss_ratio,
-                "avg_compromised_val_loss": current,
-            }
-        )
-        return self.state.gamma_episode

@@ -169,16 +169,12 @@ class ExperimentConfig:
             ("privacy", self.privacy_spec),
             ("optimizer", self.optimizer_config),
             ("detector", self.detector_config),
+            ("attack", self.attack_config),
         ):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
-        if v["attack.mode"] != "none":
-            try:
-                self.attack_config()
-            except ValueError as exc:
-                raise ConfigError("attack", str(exc)) from exc
 
     # Typed views over the flat mapping
 
@@ -229,6 +225,7 @@ class ExperimentConfig:
         gamma0 = self.values["attack.gamma0"]
         gamma_fixed = self.values["attack.gamma_fixed"]
         return AttackConfig(
+            kind=self.values["attack.mode"],
             compromised=frozenset(range(self.values["attack.m"])),
             theta=self.values["attack.theta"],
             rho=self.values["attack.rho"],

@@ -35,10 +35,9 @@ def write_csv(path, schema: str, version: int, fieldnames: Sequence[str], rows: 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         handle.write(f"# schema: {schema} v{version}\n")
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format(row.get(k)) for k in fieldnames})
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_format(row.get(k)) for k in fieldnames] for row in rows)
     return path
 
 

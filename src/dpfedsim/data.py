@@ -87,7 +87,7 @@ class BatchSampler:
     """Deterministic mini-batch iterator over a shard's training samples.
 
     Each epoch draws a fresh permutation from a counter-keyed substream,
-    so batch order depends only on (seed, tags, epoch), never on
+    so batch order depends only on (seed, epoch), never on
     scheduling. Every batch has exactly ``batch_size`` samples except
     possibly the last of an epoch.
     """
@@ -96,18 +96,16 @@ class BatchSampler:
     y: np.ndarray
     batch_size: int
     seed: int
-    stream_tags: tuple = ()
     _epoch: int = field(default=0, init=False)
     _order: np.ndarray = field(default=None, init=False, repr=False)
     _cursor: int = field(default=0, init=False)
 
     @classmethod
-    def for_shard(cls, shard: NodeShard, batch_size: int, seed: int, *tags) -> "BatchSampler":
-        return cls(x=shard.train.x, y=shard.train.y, batch_size=batch_size, seed=seed,
-                   stream_tags=("batch",) + tuple(tags))
+    def for_shard(cls, shard: NodeShard, batch_size: int, seed: int) -> "BatchSampler":
+        return cls(x=shard.train.x, y=shard.train.y, batch_size=batch_size, seed=seed)
 
     def _reshuffle(self) -> None:
-        rng = substream(self.seed, *self.stream_tags, self._epoch)
+        rng = substream(self.seed, "batch", self._epoch)
         self._order = rng.permutation(len(self.y))
         self._cursor = 0
         self._epoch += 1

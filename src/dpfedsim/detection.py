@@ -31,8 +31,12 @@ class DetectorConfig:
             raise ValueError(f"unknown detector kind: {self.kind!r}")
         if self.orientation not in ("reversed", "as_written"):
             raise ValueError(f"unknown orientation: {self.orientation!r}")
-        if self.beta1 <= 0 or self.beta2 < 0 or self.d_max <= 0:
-            raise ValueError("detector benchmarks must be positive")
+        if self.beta1 <= 0:
+            raise ValueError("norm benchmark beta1 must be positive")
+        if self.beta2 < 0:
+            raise ValueError("accuracy benchmark beta2 must be >= 0")
+        if self.d_max <= 0:
+            raise ValueError("squared-distance cap d_max must be positive")
 
 
 @dataclass(frozen=True)

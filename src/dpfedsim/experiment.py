@@ -12,10 +12,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import csvio
-from .adversary import Attacker
+from .adversary import AttackConfig
 from .config import ExperimentConfig
 from .data import ingest_csv, load_cache, partition, split_holdout, synthesize
 from .detection import DetectorConfig, detection_accuracy
@@ -72,16 +72,10 @@ def prepare_state(cfg: ExperimentConfig):
     return state, fed_cfg
 
 
-def build_attacker(cfg: ExperimentConfig) -> Optional[Attacker]:
-    if cfg["attack.mode"] == "none":
-        return None
-    return Attacker(cfg["attack.mode"], cfg.attack_config())
-
-
 def run_training(
     state: FederationState,
     fed_cfg: FederationConfig,
-    attacker: Optional[Attacker] = None,
+    attack: AttackConfig = AttackConfig(),
     detector: DetectorConfig = DetectorConfig(),
 ) -> tuple[list[RoundRecord], str]:
     """Run episodes until the configured count or the ledger stop.
@@ -93,7 +87,7 @@ def run_training(
     records: list[RoundRecord] = []
     for _ in range(fed_cfg.episodes):
         try:
-            records.append(run_episode(state, fed_cfg, attacker, detector))
+            records.append(run_episode(state, fed_cfg, attack, detector))
         except EmptyAggregationError as exc:
             return records, f"aborted_empty_aggregation_episode_{exc.episode}"
         if state.ledger.stopped:
@@ -108,12 +102,12 @@ def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
     started = time.time()
 
     state, fed_cfg = prepare_state(cfg)
-    attacker = build_attacker(cfg)
-    records, status = run_training(state, fed_cfg, attacker, cfg.detector_config())
+    attack = cfg.attack_config()
+    records, status = run_training(state, fed_cfg, attack, cfg.detector_config())
     detector_armed = cfg["detector.kind"] != "off"
-    truth = attacker.config.compromised if attacker else frozenset()
+    truth = attack.compromised
 
-    paths = _emit_metrics(out_dir, cfg, records, attacker, detector_armed, truth)
+    paths = _emit_metrics(out_dir, cfg, records, state.attack_trace, detector_armed, truth)
     summary = {
         "episodes_executed": len(records),
         "final_val_loss": records[-1].global_val_loss if records else float("nan"),
@@ -131,18 +125,19 @@ def _emit_metrics(
     out_dir: Path,
     cfg: ExperimentConfig,
     records: Sequence[RoundRecord],
-    attacker: Optional[Attacker],
+    attack_trace: Sequence[dict],
     detector_armed: bool,
     truth: frozenset,
 ) -> dict[str, Path]:
     detector_kind = cfg["detector.kind"]
-    attack_by_episode = {row["episode"]: row for row in (attacker.trace if attacker else [])}
+    attacked = cfg["attack.mode"] != "none"
+    attack_by_episode = {row["episode"]: row for row in attack_trace}
 
     episode_fields = [
         "episode", "n", "m_active", "global_val_loss", "delta_cumulative",
         "flagged_count", "detector_kind",
     ]
-    if attacker:
+    if attacked:
         episode_fields += ["gamma_t", "loss_ratio"]
     episode_rows = []
     for rec in records:
@@ -155,7 +150,7 @@ def _emit_metrics(
             "flagged_count": len(rec.flagged),
             "detector_kind": detector_kind,
         }
-        if attacker:
+        if attacked:
             trace = attack_by_episode.get(rec.episode)
             row["gamma_t"] = trace["gamma_t"] if trace else None
             row["loss_ratio"] = trace["loss_ratio"] if trace else None
@@ -181,11 +176,11 @@ def _emit_metrics(
         ["episode", "delta_step", "delta_cumulative", "stopped"], ledger_rows,
     )
 
-    if attacker:
+    if attacked:
         paths["attack"] = csvio.write_csv(
             out_dir / "attack.csv", "attack", SCHEMAS["attack"],
             ["episode", "gamma_t", "gamma_current", "loss_ratio", "avg_compromised_val_loss"],
-            attacker.trace,
+            attack_trace,
         )
 
     if detector_armed:
@@ -262,7 +257,7 @@ def final_loss_runner(base: ExperimentConfig):
 
     Returns a callable (epsilon, gamma, seed) -> final validation loss,
     benign when gamma is None, otherwise a fixed-degree adaptive-noise
-    attack using the base config's attacker block.
+    attack using the base config's attack block.
     """
 
     def final_loss(epsilon: float, gamma, seed: int) -> float:
@@ -279,7 +274,7 @@ def final_loss_runner(base: ExperimentConfig):
         cfg = ExperimentConfig.from_dict(overrides)
         state, fed_cfg = prepare_state(cfg)
         # no detector here, so no episode can abort on an empty aggregation
-        records, _status = run_training(state, fed_cfg, build_attacker(cfg))
+        records, _status = run_training(state, fed_cfg, cfg.attack_config())
         return records[-1].global_val_loss
 
     return final_loss

@@ -94,6 +94,9 @@ class FederationState:
     ledger: PrivacyLedger
     server_validation: Optional[tuple[np.ndarray, np.ndarray]] = None
     episode: int = 0
+    # one row per episode the adaptive attacker stepped in; run_episode
+    # is its only writer, and it is the controller's only memory
+    attack_trace: list[dict] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -146,22 +149,22 @@ def aggregate(global_params: np.ndarray, updates: Sequence[ModelUpdate]) -> np.n
 def _submission(
     raw: ModelUpdate,
     cfg: FederationConfig,
-    attacker: Optional[adv.Attacker],
+    attack: adv.AttackConfig,
     gamma: float,
 ) -> ModelUpdate:
     """Clip and noise one trained update (adversarially, with the episode's
     degree of poisoning gamma, for compromised nodes)."""
     clipped = clip(raw, cfg.privacy.clip_c)
     noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
-    if attacker is not None and raw.node_id in attacker.config.compromised:
-        return adv.inject(clipped, cfg.privacy, attacker.config, gamma, noise_rng)
+    if raw.node_id in attack.compromised:
+        return adv.inject(clipped, cfg.privacy, attack, gamma, noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
 
 
 def run_episode(
     state: FederationState,
     cfg: FederationConfig,
-    attacker: Optional[adv.Attacker] = None,
+    attack: adv.AttackConfig = adv.AttackConfig(),
     detector: det.DetectorConfig = det.DetectorConfig(),
 ) -> RoundRecord:
     """Execute one full federation episode and advance the state."""
@@ -173,20 +176,21 @@ def run_episode(
     t = state.episode
 
     selected = select_nodes(cfg.k, cfg.n, substream(cfg.seed, "select", t))
-    active_compromised = (
-        sorted(set(selected) & attacker.config.compromised) if attacker else []
-    )
+    active_compromised = sorted(set(selected) & attack.compromised)
 
-    # The controller observes the just-received global model before any
-    # local work happens; it only steps when compromised nodes actually
-    # participate this episode, and all of them poison with its degree.
+    # The adaptive controller observes the just-received global model
+    # before any local work happens; it only steps when compromised nodes
+    # actually participate this episode, and all of them poison with its
+    # degree.
     gamma = 0.0
-    if attacker and active_compromised:
-        gamma = attacker.gamma_for_episode(state)
+    if attack.kind == "mpelm" and active_compromised:
+        row = adv.gamma_for_episode(state, attack)
+        state.attack_trace.append(row)
+        gamma = row["gamma_t"]
 
     # rmd nodes submit a random vector instead of training; every other
     # node, compromised or not, trains in one stack
-    rmd = set(active_compromised) if attacker and attacker.kind == "rmd" else set()
+    rmd = set(active_compromised) if attack.kind == "rmd" else set()
     training = [i for i in selected if i not in rmd]
     trained = train_stack(
         state.arch,
@@ -206,7 +210,7 @@ def run_episode(
                                node_id=i, episode=t)
             )
         else:
-            submitted.append(_submission(raw[i], cfg, attacker, gamma))
+            submitted.append(_submission(raw[i], cfg, attack, gamma))
 
     verdicts = det.evaluate(
         submitted,

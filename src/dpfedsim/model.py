@@ -112,6 +112,17 @@ def unpack(arch: Architecture, params: np.ndarray):
     return layers
 
 
+def _forward_pass(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input activations ([x, a1, ...]) and the predictions."""
+    activations = [x]
+    a = x
+    for w, b in layers[:-1]:
+        a = np.maximum(0.0, a @ w + b[..., None, :])
+        activations.append(a)
+    w_out, b_out = layers[-1]
+    return activations, (a @ w_out + b_out[..., None, :])[..., 0]
+
+
 def forward(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
     """Predictions for a batch, given as an (X, y) pair.
 
@@ -119,13 +130,7 @@ def forward(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
     (g, b, 6) and gives (g, b) predictions, each row equal to its own
     unstacked call.
     """
-    x, _ = batch
-    layers = unpack(arch, params)
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(0.0, a @ w + b[..., None, :])
-    w_out, b_out = layers[-1]
-    return (a @ w_out + b_out[..., None, :])[..., 0]
+    return _forward_pass(unpack(arch, params), batch[0])[1]
 
 
 def mse_loss(arch: Architecture, params: np.ndarray, data):
@@ -151,14 +156,7 @@ def gradient(arch: Architecture, params: np.ndarray, batch) -> np.ndarray:
     if y.shape[-1] == 0:
         raise ValueError("cannot take gradient over an empty batch")
     layers = unpack(arch, params)
-
-    activations = [x]
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(0.0, a @ w + b[..., None, :])
-        activations.append(a)
-    w_out, b_out = layers[-1]
-    pred = (a @ w_out + b_out[..., None, :])[..., 0]
+    activations, pred = _forward_pass(layers, x)
 
     grad = np.zeros_like(params)
     lead = params.shape[:-1]
@@ -199,14 +197,13 @@ def train_stack(
     shards: Sequence[NodeShard],
     cfg: OptimizerConfig,
     seeds: Sequence[int],
-    *stream_tags,
     node_ids: Sequence[int],
     episode: int = 0,
 ) -> list[ModelUpdate]:
     """Local optimization of several nodes from one global model, together.
 
     Node j trains on shards[j] with batches from its own sampler, keyed
-    by (seeds[j], *stream_tags), and its result is bitwise what it would
+    by seeds[j], and its result is bitwise what it would
     be alone: the parameters form an (n, q) stack, each step's batches
     and validation sets are stacked by length, and per-node masks retire
     nodes that stop early. Each node takes up to cfg.local_steps
@@ -221,7 +218,7 @@ def train_stack(
     """
     n = len(shards)
     samplers = [
-        BatchSampler.for_shard(shard, cfg.batch_size, seed, *stream_tags)
+        BatchSampler.for_shard(shard, cfg.batch_size, seed)
         for shard, seed in zip(shards, seeds)
     ]
     validation = [
@@ -295,12 +292,11 @@ def local_train(
     shard: NodeShard,
     cfg: OptimizerConfig,
     seed: int,
-    *stream_tags,
     node_id: int = -1,
     episode: int = 0,
 ) -> ModelUpdate:
     """Run local optimization of one shard from the global model and
     return the delta: train_stack on a stack of one."""
     return train_stack(
-        arch, global_params, [shard], cfg, [seed], *stream_tags, node_ids=[node_id], episode=episode
+        arch, global_params, [shard], cfg, [seed], node_ids=[node_id], episode=episode
     )[0]

@@ -42,7 +42,7 @@ class PrivacySpec:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.clip_c <= 0:
-            raise ValueError("clip threshold must be positive")
+            raise ValueError("clipping threshold clip_c must be positive")
 
     @property
     def sensitivity(self) -> float:

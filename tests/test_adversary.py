@@ -7,21 +7,22 @@ from hypothesis import strategies as st
 
 from dpfedsim.adversary import (
     AttackConfig,
-    AttackState,
     adversarial_mu,
     episodic_loss,
+    gamma_for_episode,
     inject,
     rmd_update,
     tune_poison_degree,
 )
 from dpfedsim.data import partition, synthesize
+from dpfedsim.federation import FederationConfig, FederationState
 from dpfedsim.model import Architecture, ModelUpdate, init_params
 from dpfedsim.privacy import PrivacySpec, add_noise
 from dpfedsim.rng import substream
 
 
 def _cfg(**kw):
-    defaults = dict(compromised=frozenset({0, 1}), gamma0=0.7, rho=0.1, r_hi=1.5, r_lo=0.5)
+    defaults = dict(kind="mpelm", compromised=frozenset({0, 1}), gamma0=0.7, rho=0.1, r_hi=1.5, r_lo=0.5)
     defaults.update(kw)
     return AttackConfig(**defaults)
 
@@ -83,51 +84,44 @@ def test_inject_mean_estimator():
 # controller -------------------------------------------------------------
 
 def test_first_step_keeps_initial_gamma():
-    state = AttackState.initial(0.7)
-    new = tune_poison_degree(state, 1.23, _cfg())
-    assert new.gamma_episode == 0.7
-    assert new.loss_ratio == 0.0
-    assert new.episodic_losses == (1.23,)
+    gamma_episode, gamma_current, ratio = tune_poison_degree([], 0.7, 1.23, _cfg())
+    assert gamma_episode == 0.7
+    assert ratio == 0.0
+    assert gamma_current == 0.7
 
 
 def test_ratio_one_damps_gamma():
-    state = AttackState(episodic_losses=(2.0,), gamma_current=0.7, gamma_episode=0.7, loss_ratio=0.0)
-    new = tune_poison_degree(state, 2.0, _cfg(rho=0.1))
-    assert new.loss_ratio == 1.0
-    assert new.gamma_episode == pytest.approx(0.7 * 0.9)
-    assert new.gamma_current == new.gamma_episode
+    gamma_episode, gamma_current, ratio = tune_poison_degree([2.0], 0.7, 2.0, _cfg(rho=0.1))
+    assert ratio == 1.0
+    assert gamma_episode == pytest.approx(0.7 * 0.9)
+    assert gamma_current == gamma_episode
 
 
 def test_high_ratio_pauses_but_preserves_gamma():
-    state = AttackState(episodic_losses=(1.0,), gamma_current=0.7, gamma_episode=0.7, loss_ratio=0.0)
-    new = tune_poison_degree(state, 2.0, _cfg(r_hi=1.5))
-    assert new.loss_ratio == 2.0
-    assert new.gamma_episode == 0.0
-    assert new.gamma_current == 0.7  # last nonzero retained
+    gamma_episode, gamma_current, ratio = tune_poison_degree([1.0], 0.7, 2.0, _cfg(r_hi=1.5))
+    assert ratio == 2.0
+    assert gamma_episode == 0.0
+    assert gamma_current == 0.7  # last nonzero retained
 
 
 def test_low_ratio_amplifies_fixture():
     # 0.7 + 0.1 * 0.4 * 0.7 = 0.728
-    state = AttackState(episodic_losses=(1.0,), gamma_current=0.7, gamma_episode=0.7, loss_ratio=0.0)
-    new = tune_poison_degree(state, 0.4, _cfg(rho=0.1, r_lo=0.5))
-    assert new.gamma_episode == pytest.approx(0.728)
-    assert new.gamma_current == pytest.approx(0.728)
+    gamma_episode, gamma_current, _ = tune_poison_degree([1.0], 0.7, 0.4, _cfg(rho=0.1, r_lo=0.5))
+    assert gamma_episode == pytest.approx(0.728)
+    assert gamma_current == pytest.approx(0.728)
 
 
 def test_zero_history_mean_treated_as_ratio_one():
-    state = AttackState(episodic_losses=(0.0,), gamma_current=0.5, gamma_episode=0.5, loss_ratio=0.0)
-    new = tune_poison_degree(state, 1.0, _cfg(rho=0.1))
-    assert new.loss_ratio == 1.0
-    assert new.gamma_episode == pytest.approx(0.45)
+    gamma_episode, _, ratio = tune_poison_degree([0.0], 0.5, 1.0, _cfg(rho=0.1))
+    assert ratio == 1.0
+    assert gamma_episode == pytest.approx(0.45)
 
 
 def test_loss_appended_after_ratio():
-    state = AttackState.initial(0.7)
-    s1 = tune_poison_degree(state, 4.0, _cfg())
-    s2 = tune_poison_degree(s1, 2.0, _cfg())
-    # ratio for s2 uses only the first loss
-    assert s2.loss_ratio == pytest.approx(0.5)
-    assert s2.episodic_losses == (4.0, 2.0)
+    _, gamma, _ = tune_poison_degree([], 0.7, 4.0, _cfg())
+    _, _, ratio = tune_poison_degree([4.0], gamma, 2.0, _cfg())
+    # the ratio of the second step uses only the first loss
+    assert ratio == pytest.approx(0.5)
 
 
 @given(
@@ -138,26 +132,38 @@ def test_loss_appended_after_ratio():
 @settings(max_examples=200, deadline=None)
 def test_gamma_branches_exhaustive_and_nonnegative(ratio, gamma, rho):
     cfg = _cfg(rho=rho)
-    state = AttackState(episodic_losses=(1.0,), gamma_current=gamma, gamma_episode=gamma, loss_ratio=0.0)
-    new = tune_poison_degree(state, ratio, cfg)
-    assert new.gamma_episode >= 0.0
-    assert new.gamma_current > 0.0
-    if new.gamma_episode == 0.0:
-        assert new.gamma_current == gamma
+    gamma_episode, gamma_current, _ = tune_poison_degree([1.0], gamma, ratio, cfg)
+    assert gamma_episode >= 0.0
+    assert gamma_current > 0.0
+    if gamma_episode == 0.0:
+        assert gamma_current == gamma
     if ratio > cfg.r_hi:
-        assert new.gamma_episode == 0.0
+        assert gamma_episode == 0.0
     elif ratio < cfg.r_lo:
-        assert new.gamma_episode >= gamma
+        assert gamma_episode >= gamma
     else:
-        assert new.gamma_episode <= gamma
+        assert gamma_episode <= gamma
 
 
 def test_loss_list_tracks_step_count():
+    # the run's trace is the controller's memory: step k sees the k - 1
+    # earlier losses and the last gamma_current
     cfg = _cfg()
-    state = AttackState.initial(cfg.gamma0)
+    shards = partition(synthesize(60, seed=1), 3, seed=1)
+    state = FederationState.create(FederationConfig(k=3, n=3), shards, Architecture(hidden=(2, 2)))
+    losses, gamma = [], cfg.gamma0
     for k in range(1, 8):
-        state = tune_poison_degree(state, 1.0 + 0.1 * k, cfg)
-        assert len(state.episodic_losses) == k
+        state.episode = k
+        row = gamma_for_episode(state, cfg)
+        loss = row["avg_compromised_val_loss"]
+        gamma_episode, gamma, ratio = tune_poison_degree(losses, gamma, loss, cfg)
+        assert (row["episode"], row["gamma_t"], row["gamma_current"], row["loss_ratio"]) == (
+            k, gamma_episode, gamma, ratio
+        )
+        losses.append(loss)
+        state.attack_trace.append(row)
+        assert len(state.attack_trace) == k
+        state.global_params = state.global_params + 0.05  # a new loss every episode
 
 
 def test_episodic_loss_averages_shards():
@@ -179,6 +185,12 @@ def test_attack_config_validation():
         _cfg(r_lo=1.1)
     with pytest.raises(ValueError, match="fixed degree"):
         _cfg(gamma_fixed=-1.0)
+    with pytest.raises(ValueError, match="unknown attack kind"):
+        _cfg(kind="random")
+    # "none" is the one spelling of no attack, and it has no compromised nodes
+    with pytest.raises(ValueError, match="compromised"):
+        _cfg(kind="none")
+    assert AttackConfig() == AttackConfig(kind="none", compromised=frozenset())
 
 
 # random-update baseline --------------------------------------------------

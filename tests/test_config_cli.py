@@ -204,6 +204,18 @@ def test_cli_usage_error_exit_code(tmp_path):
             "attack.mode = mpelm\nattack.m = 2\nattack.gamma_fixed = -1", "attack: fixed degree",
             id="negative_gamma_fixed",
         ),
+        pytest.param("privacy.clip = 0", "privacy: clipping threshold clip_c", id="clip"),
+        pytest.param("detector.beta1 = 0", "detector: norm benchmark beta1", id="beta1"),
+        pytest.param("detector.beta2 = -1", "detector: accuracy benchmark beta2", id="beta2"),
+        pytest.param("detector.d_max = 0", "detector: squared-distance cap d_max", id="d_max"),
+        # the attack block is validated whatever attack.mode says
+        pytest.param("attack.r_lo = 1.2", "attack: loss-ratio threshold r_lo", id="r_lo"),
+        pytest.param("attack.r_hi = 0.9", "attack: loss-ratio threshold r_hi", id="r_hi"),
+        pytest.param("attack.gamma0 = -1", "attack: initial degree of poisoning gamma0", id="gamma0"),
+        pytest.param(
+            "attack.gamma_fixed = -1", "attack: fixed degree of poisoning gamma_fixed",
+            id="negative_gamma_fixed_without_attack",
+        ),
     ],
 )
 def test_cli_invalid_config_fails_at_parse_time(tmp_path, capsys, line, path):

@@ -209,7 +209,7 @@ def test_split_holdout_sizes():
 
 def test_batch_sampler_exact_batches():
     shards = partition(synthesize(100, seed=0), 1, seed=0)
-    sampler = BatchSampler.for_shard(shards[0], 32, 123, "t", 0)
+    sampler = BatchSampler.for_shard(shards[0], 32, 123)
     sizes = [len(sampler.next_batch()[1]) for _ in range(4)]
     # 80 train samples -> 32, 32, 16, then a fresh epoch
     assert sizes == [32, 32, 16, 32]
@@ -217,8 +217,8 @@ def test_batch_sampler_exact_batches():
 
 def test_batch_sampler_deterministic():
     shards = partition(synthesize(64, seed=0), 1, seed=0)
-    s1 = BatchSampler.for_shard(shards[0], 16, 9, "t", 1)
-    s2 = BatchSampler.for_shard(shards[0], 16, 9, "t", 1)
+    s1 = BatchSampler.for_shard(shards[0], 16, 9)
+    s2 = BatchSampler.for_shard(shards[0], 16, 9)
     for _ in range(5):
         x1, y1 = s1.next_batch()
         x2, y2 = s2.next_batch()

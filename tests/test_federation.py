@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dpfedsim.adversary import AttackConfig, Attacker, inject, rmd_update
+from dpfedsim.acceptance import replay_per_node
+from dpfedsim.adversary import AttackConfig
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition, synthesize
 from dpfedsim.detection import DetectorConfig
-from dpfedsim.experiment import build_attacker, prepare_state, run_training
+from dpfedsim.experiment import prepare_state, run_training
 from dpfedsim.federation import (
     EmptyAggregationError,
     FederationConfig,
@@ -16,9 +17,9 @@ from dpfedsim.federation import (
     run_episode,
     select_nodes,
 )
-from dpfedsim.model import ModelUpdate, OptimizerConfig, local_train
-from dpfedsim.privacy import PrivacySpec, add_noise, clip
-from dpfedsim.rng import substream, substream_seed
+from dpfedsim.model import ModelUpdate, OptimizerConfig
+from dpfedsim.privacy import PrivacySpec
+from dpfedsim.rng import substream
 
 
 def _fed_cfg(**kw):
@@ -141,8 +142,8 @@ def test_episode_detector_noop_matches_off():
     permissive = DetectorConfig(kind="norm", beta1=1e9, d_max=10.0)
     s_off = _state(cfg)
     s_on = _state(cfg)
-    r_off = run_episode(s_off, cfg, None, DetectorConfig())
-    r_on = run_episode(s_on, cfg, None, permissive)
+    r_off = run_episode(s_off, cfg, detector=DetectorConfig())
+    r_on = run_episode(s_on, cfg, detector=permissive)
     assert r_on.flagged == frozenset()
     assert r_off.same_outcome(r_on)
 
@@ -176,7 +177,7 @@ def test_episode_all_flagged_aborts():
     detector = DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0)
     # large DP noise guarantees positive distances
     with pytest.raises(EmptyAggregationError):
-        run_episode(state, cfg, None, detector)
+        run_episode(state, cfg, detector=detector)
 
 
 def test_episode_requires_live_ledger():
@@ -191,7 +192,7 @@ def test_accuracy_detector_requires_server_validation():
     cfg = _fed_cfg()
     state = _state(cfg)
     with pytest.raises(ValueError, match="server validation"):
-        run_episode(state, cfg, None, DetectorConfig(kind="accuracy"))
+        run_episode(state, cfg, detector=DetectorConfig(kind="accuracy"))
 
 
 # training loop ----------------------------------------------------------
@@ -228,43 +229,24 @@ def test_training_bitwise_reproducible():
     ],
 )
 def test_training_equals_per_node_reference(attack, gamma_fixed):
-    # each submission recomputed alone: one-shard local_train, clip, then
-    # noise (inject with the episode's one degree from the attacker's
-    # trace for compromised nodes) or the rmd draw, from the same
-    # substreams and the global model the episode started from
+    # each submission recomputed alone by the acceptance replay: one-shard
+    # local_train, clip, then noise (inject with the episode's one degree
+    # from the run's attack trace for compromised nodes) or the rmd draw,
+    # from the same substreams and the global model the episode started from
     cfg = _fed_cfg(k=8, n=5, episodes=3)
     state = _state(cfg)
-    attacker = None
+    config = AttackConfig()
     if attack:
-        attacker = Attacker(attack, AttackConfig(compromised=frozenset({1, 4}), gamma_fixed=gamma_fixed))
-    params = state.global_params.copy()
-    records, status = run_training(state, cfg, attacker)
+        config = AttackConfig(kind=attack, compromised=frozenset({1, 4}), gamma_fixed=gamma_fixed)
+    records, status, mismatches = replay_per_node(state, cfg, config)
     assert status == "ok" and len(records) == 3
-    gamma = {row["episode"]: row["gamma_t"] for row in attacker.trace} if attacker else {}
+    assert mismatches == []
     if attack == "mpelm" and gamma_fixed is None:
-        assert 0.0 in gamma.values()  # the controller paused once: the one degree is then 0
-    seen_compromised = 0
+        # the controller paused once: the one degree is then 0
+        assert 0.0 in [row["gamma_t"] for row in state.attack_trace]
     for rec in records:
-        t = rec.episode
         assert [u.node_id for u in rec.submitted] == list(rec.selected)
-        for update in rec.submitted:
-            i = update.node_id
-            if attack == "rmd" and i in rec.active_compromised:
-                expected = rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), len(params),
-                                      node_id=i, episode=t)
-            else:
-                raw = local_train(state.arch, params, state.shards[i], cfg.optimizer,
-                                  substream_seed(cfg.seed, "train", t, i), node_id=i, episode=t)
-                clipped = clip(raw, cfg.privacy.clip_c)
-                noise_rng = substream(cfg.seed, "noise", t, i)
-                if i in rec.active_compromised:
-                    expected = inject(clipped, cfg.privacy, attacker.config, gamma[t], noise_rng)
-                else:
-                    expected = add_noise(clipped, cfg.privacy, noise_rng)
-            seen_compromised += i in rec.active_compromised
-            assert np.array_equal(update.delta, expected.delta)
-            assert (update.episode, update.steps) == (t, expected.steps)
-        params = rec.global_params_after
+    seen_compromised = sum(len(rec.active_compromised) for rec in records)
     assert seen_compromised > 0 or attack is None
 
 
@@ -280,7 +262,7 @@ def test_submitted_updates_report_training_steps():
 def test_training_reports_empty_aggregation_status():
     cfg = _fed_cfg(n=3, episodes=5)
     detector = DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0)  # flags every update
-    records, status = run_training(_state(cfg), cfg, None, detector)
+    records, status = run_training(_state(cfg), cfg, AttackConfig(), detector)
     assert records == [] and status == "aborted_empty_aggregation_episode_1"
 
 
@@ -302,8 +284,7 @@ def test_attacked_run_with_gamma_zero_equals_benign():
         {**base, "attack.mode": "mpelm", "attack.m": 3, "attack.gamma_fixed": 0.0}
     )
     state_a, fed_a = prepare_state(cfg_a)
-    attacker = build_attacker(cfg_a)
-    attacked, _ = run_training(state_a, fed_a, attacker)
+    attacked, _ = run_training(state_a, fed_a, cfg_a.attack_config())
 
     assert len(benign) == len(attacked)
     assert all(x.same_outcome(y) for x, y in zip(benign, attacked))
@@ -312,8 +293,8 @@ def test_attacked_run_with_gamma_zero_equals_benign():
 def test_rmd_nodes_submit_without_training():
     cfg = _fed_cfg(k=5, n=5, episodes=1)
     shards = partition(synthesize(100, seed=1), cfg.k, seed=1)
-    attacker = Attacker("rmd", AttackConfig(compromised=frozenset({0})))
-    records, _ = run_training(FederationState.create(cfg, shards), cfg, attacker)
+    attack = AttackConfig(kind="rmd", compromised=frozenset({0}))
+    records, _ = run_training(FederationState.create(cfg, shards), cfg, attack)
     rec = records[0]
     assert rec.active_compromised == (0,)
     # the compromised submission reflects the clip-scaled random vector,
@@ -330,11 +311,13 @@ def test_rmd_nodes_submit_without_training():
 def test_adaptive_attacker_steps_only_when_active():
     cfg = _fed_cfg(k=20, n=3, episodes=5)
     shards = partition(synthesize(300, seed=2), cfg.k, seed=2)
-    attacker = Attacker("mpelm", AttackConfig(compromised=frozenset({0}), gamma0=0.7))
-    records, _ = run_training(FederationState.create(cfg, shards), cfg, attacker)
+    attack = AttackConfig(kind="mpelm", compromised=frozenset({0}), gamma0=0.7)
+    state = FederationState.create(cfg, shards)
+    records, _ = run_training(state, cfg, attack)
     active_episodes = [r.episode for r in records if r.active_compromised]
-    assert [row["episode"] for row in attacker.trace] == active_episodes
-    assert len(attacker.state.episodic_losses) == len(active_episodes)
+    assert [row["episode"] for row in state.attack_trace] == active_episodes
+    losses = [row["avg_compromised_val_loss"] for row in state.attack_trace]
+    assert len(losses) == len(active_episodes) and all(math.isfinite(x) for x in losses)
 
 
 def test_federation_config_validation():

@@ -134,7 +134,7 @@ def test_local_train_zero_learning_rate():
     rng0 = substream(0, "init")
     params = init_params(ARCH, rng0)
     cfg = OptimizerConfig(learning_rate=0.0, local_steps=3)
-    update = local_train(ARCH, params, shard, cfg, 5, "t", 0)
+    update = local_train(ARCH, params, shard, cfg, 5)
     assert np.array_equal(update.delta, np.zeros(ARCH.n_params))
 
 
@@ -144,8 +144,8 @@ def test_local_train_single_step_closed_form():
     shard = _shard()
     params = init_params(ARCH, substream(0, "init"))
     cfg = OptimizerConfig(kind="mbgd", learning_rate=0.01, local_steps=1, early_stop=False)
-    update = local_train(ARCH, params, shard, cfg, 5, "t", 0)
-    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 5, "t", 0)
+    update = local_train(ARCH, params, shard, cfg, 5)
+    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 5)
     first_batch = sampler.next_batch()
     expected = -cfg.learning_rate * gradient(ARCH, params, first_batch)
     # (w - lr*g) - w loses a few low bits against -lr*g directly
@@ -159,9 +159,9 @@ def test_local_train_two_step_replay():
     shard = _shard(seed=3)
     params = init_params(ARCH, substream(1, "init"))
     cfg = OptimizerConfig(kind="mbgd", learning_rate=0.02, local_steps=2, early_stop=False)
-    update = local_train(ARCH, params, shard, cfg, 9, "t", 1)
+    update = local_train(ARCH, params, shard, cfg, 9)
 
-    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 9, "t", 1)
+    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 9)
     w = params.copy()
     for _ in range(2):
         w = w - cfg.learning_rate * gradient(ARCH, w, sampler.next_batch())
@@ -172,8 +172,8 @@ def test_local_train_deterministic():
     shard = _shard(seed=2)
     params = init_params(ARCH, substream(2, "init"))
     cfg = OptimizerConfig(local_steps=4)
-    a = local_train(ARCH, params, shard, cfg, 7, "t", 2)
-    b = local_train(ARCH, params, shard, cfg, 7, "t", 2)
+    a = local_train(ARCH, params, shard, cfg, 7)
+    b = local_train(ARCH, params, shard, cfg, 7)
     assert np.array_equal(a.delta, b.delta)
 
 
@@ -183,13 +183,13 @@ def test_local_train_early_stop_halts():
     shard = _shard(seed=4)
     params = init_params(ARCH, substream(3, "init"))
     cfg = OptimizerConfig(kind="mbgd", learning_rate=0.0, local_steps=50, early_stop=True, patience=3)
-    update = local_train(ARCH, params, shard, cfg, 11, "t", 0)
+    update = local_train(ARCH, params, shard, cfg, 11)
     assert update.steps == 4  # 1 improving eval + 3 stale evals
 
     no_stop = local_train(
         ARCH, params, shard,
         OptimizerConfig(kind="mbgd", learning_rate=0.0, local_steps=50, early_stop=False),
-        11, "t", 0,
+        11,
     )
     assert no_stop.steps == 50
 
@@ -204,7 +204,7 @@ def test_local_train_divergence_carries_step():
     params = np.full(ARCH.n_params, 50.0)
     cfg = OptimizerConfig(kind="mbgd", learning_rate=1e100, local_steps=8, early_stop=False)
     with pytest.raises(TrainingDivergedError) as err:
-        local_train(ARCH, params, shard, cfg, 1, "t", 0)
+        local_train(ARCH, params, shard, cfg, 1)
     assert 1 <= err.value.step <= 8
 
 
@@ -244,9 +244,9 @@ def test_train_stack_equals_per_shard_local_train(kind, early_stop):
                           early_stop=early_stop, patience=1)
     seeds = [100 + j for j in range(len(shards))]
     ids = [s.node_id for s in shards]
-    stacked = train_stack(ARCH, params, shards, cfg, seeds, "t", node_ids=ids, episode=3)
+    stacked = train_stack(ARCH, params, shards, cfg, seeds, node_ids=ids, episode=3)
     alone = [
-        local_train(ARCH, params, shard, cfg, seed, "t", node_id=i, episode=3)
+        local_train(ARCH, params, shard, cfg, seed, node_id=i, episode=3)
         for shard, seed, i in zip(shards, seeds, ids)
     ]
     for a, b in zip(stacked, alone):
@@ -276,10 +276,10 @@ def test_train_stack_raises_for_first_diverging_node_in_order():
         alone = []
         for s in shards:
             with pytest.raises(TrainingDivergedError) as err:
-                local_train(ARCH, params, s, cfg, 1, "t", node_id=s.node_id, episode=4)
+                local_train(ARCH, params, s, cfg, 1, node_id=s.node_id, episode=4)
             alone.append(err.value.step)
         with pytest.raises(TrainingDivergedError) as err:
-            train_stack(ARCH, params, shards, cfg, [1, 1, 1], "t", node_ids=[10, 11, 12], episode=4)
+            train_stack(ARCH, params, shards, cfg, [1, 1, 1], node_ids=[10, 11, 12], episode=4)
     assert alone == [3, 1, 2]
     assert (err.value.node_id, err.value.step, err.value.episode) == (10, 3, 4)
     assert "episode 4, node 10, step 3" in str(err.value)
@@ -289,7 +289,7 @@ def test_adamax_steps_bounded():
     shard = _shard(seed=5)
     params = init_params(ARCH, substream(4, "init"))
     cfg = OptimizerConfig(kind="adamax", learning_rate=0.01, local_steps=5, early_stop=False)
-    update = local_train(ARCH, params, shard, cfg, 13, "t", 0)
+    update = local_train(ARCH, params, shard, cfg, 13)
     # per-coordinate movement is at most ~lr per step
     assert np.max(np.abs(update.delta)) <= cfg.local_steps * cfg.learning_rate * 1.001
 
