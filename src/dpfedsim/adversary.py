@@ -30,7 +30,6 @@ class AttackConfig:
 
     kind: str = "none"  # "none" | "rmd" | "mpelm"
     compromised: frozenset[int] = frozenset()
-    theta: float = 0.0
     rho: float = 0.1
     gamma0: float = 1.0  # callers default this to epsilon
     r_hi: float = 1.5
@@ -54,30 +53,30 @@ class AttackConfig:
             raise ValueError("fixed degree of poisoning gamma_fixed must be >= 0")
 
 
-def adversarial_mu(theta: float, gamma: float, sigma_x: float) -> float:
-    """Optimal mean shift of the attack distribution: theta + sqrt(2*gamma)*sigma_x."""
+def adversarial_mu(gamma: float, sigma_x: float) -> float:
+    """Optimal mean shift of the attack distribution from the benign noise
+    mean, which is 0 for the Gaussian mechanism: sqrt(2*gamma)*sigma_x."""
     if gamma < 0:
         raise ValueError("degree of poisoning must be >= 0")
     if sigma_x < 0:
         raise ValueError("sigma_x must be >= 0")
-    return theta + math.sqrt(2.0 * gamma) * sigma_x
+    return math.sqrt(2.0 * gamma) * sigma_x
 
 
 def inject(
     clipped: ModelUpdate,
     spec: PrivacySpec,
-    cfg: AttackConfig,
     gamma_episode: float,
     rng: np.random.Generator,
 ) -> ModelUpdate:
     """Replace benign DP noise with the adversarial draw.
 
-    Each coordinate receives i.i.d. noise with mean adversarial_mu(theta,
-    gamma, sigma_x) and the benign standard deviation, where sigma_x is
-    also the benign standard deviation. With gamma 0 and theta 0 the draw
-    is bit-identical to the benign mechanism on the same substream.
+    Each coordinate receives i.i.d. noise with mean adversarial_mu(gamma,
+    sigma_x) and the benign standard deviation, where sigma_x is also the
+    benign standard deviation. With gamma 0 the draw is bit-identical to
+    the benign mechanism on the same substream.
     """
-    mu = adversarial_mu(cfg.theta, gamma_episode, spec.noise_std)
+    mu = adversarial_mu(gamma_episode, spec.noise_std)
     noise = mu + spec.noise_std * rng.standard_normal(clipped.delta.shape)
     return replace(clipped, delta=clipped.delta + noise)
 

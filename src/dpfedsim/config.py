@@ -42,7 +42,6 @@ DEFAULTS: dict[str, object] = {
     "privacy.stop_threshold": 0.01,
     "attack.mode": "none",  # none | rmd | mpelm
     "attack.m": 0,
-    "attack.theta": 0.0,
     "attack.rho": 0.1,
     "attack.gamma0": "",  # empty: defaults to privacy.epsilon
     "attack.r_hi": 1.5,
@@ -52,7 +51,7 @@ DEFAULTS: dict[str, object] = {
     "detector.beta1": 1.0,
     "detector.beta2": 0.1,
     "detector.d_max": 10.0,
-    "detector.orientation": "reversed",  # reversed | as_written
+    "detector.orientation": "reversed",  # reversed only; echoed in detection.csv v1
     "optimizer.kind": "mbgd",  # mbgd | adamax
     "optimizer.learning_rate": 0.001,
     "optimizer.batch_size": 32,
@@ -63,6 +62,8 @@ DEFAULTS: dict[str, object] = {
 }
 
 _BOOLS = {"on": True, "off": False, "true": True, "false": False, "yes": True, "no": False}
+# floats whose empty default means "derive it" (gamma0) or "off" (gamma_fixed)
+_OPTIONAL_FLOATS = ("attack.gamma0", "attack.gamma_fixed")
 
 
 def _coerce(key: str, raw, default) -> object:
@@ -77,7 +78,7 @@ def _coerce(key: str, raw, default) -> object:
             return _BOOLS[str(raw).lower()]
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
-        if isinstance(default, float):
+        if isinstance(default, float) or key in _OPTIONAL_FLOATS:
             return float(raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(key, f"cannot parse {raw!r}") from exc
@@ -144,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("attack.mode", f"unknown mode {v['attack.mode']!r}")
         if v["federation.episodes"] < 1:
             raise ConfigError("federation.episodes", "must be >= 1")
+        if v["detector.orientation"] != "reversed":
+            raise ConfigError("detector.orientation", f"only reversed is supported, got {v['detector.orientation']!r}")
         if v["privacy.stop_threshold"] < 0:
             raise ConfigError("privacy.stop_threshold", "must be >= 0")
         if v["detector.kind"] in ("norm", "accuracy", "mix") and n < 2:
@@ -218,7 +221,6 @@ class ExperimentConfig:
             beta1=self.values["detector.beta1"],
             beta2=self.values["detector.beta2"],
             d_max=self.values["detector.d_max"],
-            orientation=self.values["detector.orientation"],
         )
 
     def attack_config(self) -> AttackConfig:
@@ -227,10 +229,9 @@ class ExperimentConfig:
         return AttackConfig(
             kind=self.values["attack.mode"],
             compromised=frozenset(range(self.values["attack.m"])),
-            theta=self.values["attack.theta"],
             rho=self.values["attack.rho"],
-            gamma0=self.values["privacy.epsilon"] if gamma0 == "" else float(gamma0),
+            gamma0=self.values["privacy.epsilon"] if gamma0 == "" else gamma0,
             r_hi=self.values["attack.r_hi"],
             r_lo=self.values["attack.r_lo"],
-            gamma_fixed=None if gamma_fixed == "" else float(gamma_fixed),
+            gamma_fixed=None if gamma_fixed == "" else gamma_fixed,
         )

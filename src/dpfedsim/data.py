@@ -8,9 +8,10 @@ datasets can be cached on disk keyed by the source file's content hash.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,40 +83,22 @@ class NodeShard:
     validation: Dataset
 
 
-@dataclass
-class BatchSampler:
-    """Deterministic mini-batch iterator over a shard's training samples.
+def batches(train: Dataset, batch_size: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless deterministic mini-batches over a training split.
 
-    Each epoch draws a fresh permutation from a counter-keyed substream,
-    so batch order depends only on (seed, epoch), never on
-    scheduling. Every batch has exactly ``batch_size`` samples except
-    possibly the last of an epoch.
+    Epoch e follows a permutation from the substream (seed, "batch", e),
+    drawn at its first batch, so batch order depends only on (seed,
+    epoch), never on scheduling. Every batch has exactly ``batch_size``
+    samples except possibly the last of an epoch. An empty split raises
+    ValueError rather than looping forever.
     """
-
-    x: np.ndarray
-    y: np.ndarray
-    batch_size: int
-    seed: int
-    _epoch: int = field(default=0, init=False)
-    _order: np.ndarray = field(default=None, init=False, repr=False)
-    _cursor: int = field(default=0, init=False)
-
-    @classmethod
-    def for_shard(cls, shard: NodeShard, batch_size: int, seed: int) -> "BatchSampler":
-        return cls(x=shard.train.x, y=shard.train.y, batch_size=batch_size, seed=seed)
-
-    def _reshuffle(self) -> None:
-        rng = substream(self.seed, "batch", self._epoch)
-        self._order = rng.permutation(len(self.y))
-        self._cursor = 0
-        self._epoch += 1
-
-    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._order is None or self._cursor >= len(self._order):
-            self._reshuffle()
-        idx = self._order[self._cursor:self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return self.x[idx], self.y[idx]
+    if len(train) == 0:
+        raise ValueError("cannot draw batches from an empty training split")
+    for epoch in count():
+        order = substream(seed, "batch", epoch).permutation(len(train))
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
+            yield train.x[idx], train.y[idx]
 
 
 def _normalize_columns(values: np.ndarray) -> np.ndarray:

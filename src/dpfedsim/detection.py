@@ -24,13 +24,10 @@ class DetectorConfig:
     beta1: float = 1.0
     beta2: float = 0.1
     d_max: float = 10.0
-    orientation: str = "reversed"  # "reversed" flags loss-increasing models
 
     def __post_init__(self):
         if self.kind not in ("norm", "accuracy", "mix", "off"):
             raise ValueError(f"unknown detector kind: {self.kind!r}")
-        if self.orientation not in ("reversed", "as_written"):
-            raise ValueError(f"unknown orientation: {self.orientation!r}")
         if self.beta1 <= 0:
             raise ValueError("norm benchmark beta1 must be positive")
         if self.beta2 < 0:
@@ -87,22 +84,14 @@ def norm_rate(update: ModelUpdate, standard: np.ndarray, cfg: DetectorConfig) ->
 def loss_test_rate(loss_i: float, loss_st: float, cfg: DetectorConfig) -> tuple[float, float]:
     """(rate, e2) of the loss test given the two candidate losses.
 
-    The default "reversed" orientation flags models whose candidate loss
-    exceeds the standard's; "as_written" keeps the literal inverse case
-    split. Equality at the benchmark rates 1 (not flagged).
+    Reversing the paper's case split as written, a model is suspect when
+    its candidate loss exceeds the standard's: e2 is that excess relative
+    to the candidate loss, else 0. e2 equal to beta2 rates 1 (not flagged).
     """
-    if cfg.orientation == "reversed":
-        if loss_i <= loss_st:
-            delta_l = 0.0
-        else:
-            delta_l = (loss_i - loss_st) / loss_i
+    if loss_i <= loss_st:
+        e2 = 0.0
     else:
-        if loss_st <= loss_i or loss_st == 0.0:
-            delta_l = 0.0
-        else:
-            delta_l = (loss_st - loss_i) / loss_st
-
-    e2 = delta_l
+        e2 = (loss_i - loss_st) / loss_i
     rate = 1.0 if e2 <= cfg.beta2 else min(1.0, max(0.0, 1.0 - e2))
     return rate, e2
 

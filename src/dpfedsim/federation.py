@@ -157,7 +157,7 @@ def _submission(
     clipped = clip(raw, cfg.privacy.clip_c)
     noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
     if raw.node_id in attack.compromised:
-        return adv.inject(clipped, cfg.privacy, attack, gamma, noise_rng)
+        return adv.inject(clipped, cfg.privacy, gamma, noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
 
 

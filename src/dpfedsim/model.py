@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import N_FEATURES, BatchSampler, NodeShard
+from .data import N_FEATURES, NodeShard, batches
 
 
 class TrainingDivergedError(RuntimeError):
@@ -202,12 +202,12 @@ def train_stack(
 ) -> list[ModelUpdate]:
     """Local optimization of several nodes from one global model, together.
 
-    Node j trains on shards[j] with batches from its own sampler, keyed
-    by seeds[j], and its result is bitwise what it would
-    be alone: the parameters form an (n, q) stack, each step's batches
-    and validation sets are stacked by length, and per-node masks retire
-    nodes that stop early. Each node takes up to cfg.local_steps
-    optimizer steps; with early stopping on, a node halts once its
+    Node j trains on shards[j] with its own stream of batches, keyed by
+    seeds[j], and its result is bitwise what it would be alone: the
+    parameters form an (n, q) stack, each step's batches and validation
+    sets are stacked by length, and per-node masks retire nodes that
+    stop early. Each node takes up to cfg.local_steps optimizer steps;
+    with early stopping on, a node halts once its
     validation loss has failed to improve for cfg.patience consecutive
     evaluations (a node with an empty validation split never stops
     early).
@@ -217,10 +217,7 @@ def train_stack(
     own step.
     """
     n = len(shards)
-    samplers = [
-        BatchSampler.for_shard(shard, cfg.batch_size, seed)
-        for shard, seed in zip(shards, seeds)
-    ]
+    streams = [batches(s.train, cfg.batch_size, seed) for s, seed in zip(shards, seeds)]
     validation = [
         (s.validation.x, s.validation.y) if cfg.early_stop and len(s.validation) else None
         for s in shards
@@ -247,10 +244,10 @@ def train_stack(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        batches = [samplers[j].next_batch() for j in idx]
+        step_batches = [next(streams[j]) for j in idx]
         g = np.empty((idx.size, w.shape[1]))
-        for rows in _by_length(batches):
-            g[rows] = gradient(arch, w[idx[rows]], _stack([batches[r] for r in rows]))
+        for rows in _by_length(step_batches):
+            g[rows] = gradient(arch, w[idx[rows]], _stack([step_batches[r] for r in rows]))
         if cfg.kind == "mbgd":
             w[idx] = w[idx] - cfg.learning_rate * g
         else:

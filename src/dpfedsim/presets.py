@@ -31,7 +31,6 @@ _DETECTOR_BASE = {
     "privacy.clip": 0.05,
     "optimizer.learning_rate": 0.05,
     "attack.gamma0": 0.7,
-    "detector.orientation": "reversed",
 }
 
 

@@ -14,10 +14,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .model import TrainingDivergedError
 from .rng import substream
 
 
@@ -73,9 +75,10 @@ class LossTables:
     """Per-privacy-level attacker and federated losses, plus raw cells.
 
     ``cells`` holds one (epsilon, gamma, seed, m_l, f_l) row per generated
-    run; a NaN loss marks a cell whose run failed. The reduced per-epsilon
-    vectors average the valid cells over gamma values and seeds and must
-    be fully finite and positive for training to proceed.
+    run; a NaN loss marks a cell with no valid loss, such as one whose run
+    diverged. The reduced per-epsilon vectors average the valid cells
+    over gamma values and seeds and must be fully finite and positive for
+    training to proceed.
     """
 
     epsilon_grid: tuple[float, ...]
@@ -126,19 +129,20 @@ class LossTables:
     def f_l_max(self) -> float:
         return float(np.max(self.f_l))
 
-    def _bin_edges(self, values: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _bins(self) -> tuple[list[int], list[int]]:
+        """Every grid point's m_l and f_l bin: the index of its loss among
+        the N_BINS-quantile edges of that loss vector."""
         qs = np.linspace(0, 1, N_BINS + 1)[1:-1]
-        return np.quantile(values, qs)
-
-    def bin_of(self, value: float, which: str) -> int:
-        values = self.m_l if which == "m" else self.f_l
-        return int(np.searchsorted(self._bin_edges(values), value, side="right"))
+        return tuple(
+            np.searchsorted(np.quantile(values, qs), values, side="right").tolist()
+            for values in (self.m_l, self.f_l)
+        )
 
     def state_at(self, epsilon_index: int) -> RdpState:
+        m_bins, f_bins = self._bins
         return RdpState(
-            m_l_bin=self.bin_of(float(self.m_l[epsilon_index]), "m"),
-            f_l_bin=self.bin_of(float(self.f_l[epsilon_index]), "f"),
-            epsilon_index=epsilon_index,
+            m_l_bin=m_bins[epsilon_index], f_l_bin=f_bins[epsilon_index], epsilon_index=epsilon_index
         )
 
 
@@ -369,15 +373,16 @@ def generate_loss_tables(
     """Build loss tables by running the federation at every grid point.
 
     ``final_loss(epsilon, gamma, seed)`` must return the final global
-    validation loss of one run; gamma None means a benign run. Failed
-    runs mark their cell invalid (NaN) rather than aborting the sweep;
+    validation loss of one run; gamma None means a benign run. A run that
+    diverges (TrainingDivergedError) marks its cell invalid (NaN) rather
+    than aborting the sweep, and any other exception propagates;
     reductions average the valid cells (see LossTables.from_cells).
     """
 
     def loss_or_nan(eps: float, gamma: Optional[float], seed: int) -> float:
         try:
             return final_loss(eps, gamma, seed)
-        except Exception:
+        except TrainingDivergedError:
             return float("nan")
 
     cells = []

@@ -30,23 +30,23 @@ def _cfg(**kw):
 # adversarial mean shift -------------------------------------------------
 
 def test_mu_collapses_at_zero_gamma():
-    assert adversarial_mu(0.25, 0.0, 3.0) == 0.25
+    assert adversarial_mu(0.0, 3.0) == 0.0
 
 
 def test_mu_fixture_values():
-    assert adversarial_mu(0.0, 2.0, 1.0) == pytest.approx(2.0)
-    assert adversarial_mu(0.0, 3.0, 0.5) == pytest.approx(math.sqrt(6) / 2)
+    assert adversarial_mu(2.0, 1.0) == pytest.approx(2.0)
+    assert adversarial_mu(3.0, 0.5) == pytest.approx(math.sqrt(6) / 2)
 
 
 def test_mu_rejects_negative_gamma():
     with pytest.raises(ValueError):
-        adversarial_mu(0.0, -0.1, 1.0)
+        adversarial_mu(-0.1, 1.0)
 
 
 @given(st.floats(0.01, 10), st.floats(0.01, 10))
 @settings(max_examples=50, deadline=None)
 def test_mu_strictly_increasing_in_gamma(gamma, sigma_x):
-    assert adversarial_mu(0.0, gamma + 0.5, sigma_x) > adversarial_mu(0.0, gamma, sigma_x)
+    assert adversarial_mu(gamma + 0.5, sigma_x) > adversarial_mu(gamma, sigma_x)
 
 
 # injection --------------------------------------------------------------
@@ -57,7 +57,7 @@ SPEC = PrivacySpec(epsilon=0.7, delta=0.001, clip_c=1.0)
 def test_inject_gamma_zero_equals_benign_mechanism():
     clipped = ModelUpdate(delta=np.linspace(-1, 1, 12), node_id=3, episode=2)
     benign = add_noise(clipped, SPEC, substream(5, "noise", 2, 3))
-    attacked = inject(clipped, SPEC, _cfg(), 0.0, substream(5, "noise", 2, 3))
+    attacked = inject(clipped, SPEC, 0.0, substream(5, "noise", 2, 3))
     assert np.array_equal(benign.delta, attacked.delta)
 
 
@@ -65,19 +65,17 @@ def test_inject_zero_variance_is_pure_shift():
     # epsilon enormous: noise std underflows, leaving only the mean shift
     spec = PrivacySpec(epsilon=1e300, delta=0.001, clip_c=1.0)
     clipped = ModelUpdate(delta=np.zeros(4), node_id=0, episode=1)
-    cfg = _cfg(theta=0.0)
-    out = inject(clipped, spec, cfg, 2.0, substream(0, "n"))
-    mu = adversarial_mu(0.0, 2.0, spec.noise_std)
+    out = inject(clipped, spec, 2.0, substream(0, "n"))
+    mu = adversarial_mu(2.0, spec.noise_std)
     assert np.allclose(out.delta, mu, atol=1e-280)
 
 
 def test_inject_mean_estimator():
-    # 1e5 scalar draws with theta=0, gamma=2, sigma_x = S*sigma = 1
+    # 1e5 scalar draws with gamma=2, sigma_x = S*sigma = 1
     spec = PrivacySpec(epsilon=math.sqrt(2 * math.log(1250.0)), delta=0.001, clip_c=1.0)
     assert spec.noise_std == pytest.approx(1.0)
-    cfg = _cfg(theta=0.0)
     clipped = ModelUpdate(delta=np.zeros(10**5), node_id=0, episode=1)
-    out = inject(clipped, spec, cfg, 2.0, substream(8, "est"))
+    out = inject(clipped, spec, 2.0, substream(8, "est"))
     assert abs(out.delta.mean() - 2.0) < 4.0 / math.sqrt(10**5)
 
 

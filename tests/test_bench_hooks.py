@@ -3,10 +3,12 @@
 perfbench/tracer.py wraps public functions at the names the program looks
 them up under. A refactor that moves a call behind another binding makes
 the per-layer metrics read zero; these checks catch that in the test
-suite. The tracer is imported read-only from its file.
+suite. The workloads must also still build from the program's config
+keys and presets. The benchmark's files are imported read-only.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,12 +18,11 @@ import pytest
 from dpfedsim import cli, csvio, experiment, presets, rdp
 from dpfedsim.config import ExperimentConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve the module by name
     try:
@@ -29,6 +30,16 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _bench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _bench_module("workloads")
 
 
 def _smoke_config() -> ExperimentConfig:
@@ -115,3 +126,16 @@ def test_fit_tabular_steps_exploration_once_per_episode(monkeypatch):
         states, rdp.ACTIONS, lambda s, a: rdp.step(s, a, tables), lambda _s, _a, _s2: 1.0, hyper, 0
     )
     assert episodes == list(range(hyper.max_episodes))
+
+
+def test_workloads_build_the_pinned_operations(workloads):
+    """Every workload builds at the pinned seed, which parses each of its
+    run configs, and its operations are the ones reference.json pins."""
+    reference = json.loads((BENCH_DIR / "reference.json").read_text())
+    assert reference["seed"] == workloads.DEFAULT_SEED
+    assert set(workloads.WORKLOADS) == set(reference["workloads"])
+    for name, workload in workloads.WORKLOADS.items():
+        names = [op.name for op in workload.build(workloads.DEFAULT_SEED)]
+        assert sorted(names) == sorted(reference["workloads"][name]), name
+    # the loss-table base is written to a config file only when the operation runs
+    ExperimentConfig.from_dict(workloads.TABLES_BASE)

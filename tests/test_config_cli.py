@@ -196,6 +196,15 @@ def test_cli_usage_error_exit_code(tmp_path):
         pytest.param("data.server_split = 1.5", "data.server_split", id="server_split_range"),
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
         pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
+        pytest.param("attack.theta = 0", "attack.theta: unknown", id="removed_theta_key"),
+        pytest.param(
+            "detector.orientation = as_written", "detector.orientation: only reversed",
+            id="orientation_as_written",
+        ),
+        pytest.param("attack.gamma0 = abc", "attack.gamma0: cannot parse 'abc'", id="gamma0_not_a_number"),
+        pytest.param(
+            "attack.gamma_fixed = 1,5", "attack.gamma_fixed: cannot parse '1,5'", id="gamma_fixed_not_a_number"
+        ),
         pytest.param(
             "federation.participants = 1\ndetector.kind = norm", "federation.participants",
             id="one_participant_with_detector",

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from dpfedsim.data import (
     EXPECTED_HEADER,
-    BatchSampler,
     Dataset,
     IngestionError,
+    batches,
     ingest_csv,
     load_cache,
     partition,
@@ -209,20 +209,25 @@ def test_split_holdout_sizes():
 
 def test_batch_sampler_exact_batches():
     shards = partition(synthesize(100, seed=0), 1, seed=0)
-    sampler = BatchSampler.for_shard(shards[0], 32, 123)
-    sizes = [len(sampler.next_batch()[1]) for _ in range(4)]
+    stream = batches(shards[0].train, 32, 123)
+    sizes = [len(next(stream)[1]) for _ in range(4)]
     # 80 train samples -> 32, 32, 16, then a fresh epoch
     assert sizes == [32, 32, 16, 32]
 
 
 def test_batch_sampler_deterministic():
     shards = partition(synthesize(64, seed=0), 1, seed=0)
-    s1 = BatchSampler.for_shard(shards[0], 16, 9)
-    s2 = BatchSampler.for_shard(shards[0], 16, 9)
+    s1 = batches(shards[0].train, 16, 9)
+    s2 = batches(shards[0].train, 16, 9)
     for _ in range(5):
-        x1, y1 = s1.next_batch()
-        x2, y2 = s2.next_batch()
+        x1, y1 = next(s1)
+        x2, y2 = next(s2)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+
+def test_batches_reject_an_empty_split():
+    with pytest.raises(ValueError, match="empty training split"):
+        next(batches(Dataset(np.empty((0, 6)), np.empty(0)), 4, 0))
 
 
 def test_dataset_validates_shape_and_finiteness():

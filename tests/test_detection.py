@@ -127,31 +127,20 @@ def test_norm_monotone_leniency():
 
 # accuracy detection ---------------------------------------------------
 
-def test_loss_test_equal_losses_pass_both_orientations():
-    for orientation in ("reversed", "as_written"):
-        rate, e2 = loss_test_rate(1.5, 1.5, DetectorConfig(kind="accuracy", orientation=orientation))
-        assert rate == 1.0 and e2 == 0.0
+def test_loss_test_equal_losses_pass():
+    rate, e2 = loss_test_rate(1.5, 1.5, DetectorConfig(kind="accuracy"))
+    assert rate == 1.0 and e2 == 0.0
 
 
 def test_loss_test_reversed_fixture():
-    rate, e2 = loss_test_rate(2.0, 1.0, DetectorConfig(kind="accuracy", orientation="reversed"))
-    assert e2 == 0.5 and rate == 0.5
-
-
-def test_loss_test_as_written_fixture():
-    rate, e2 = loss_test_rate(1.0, 2.0, DetectorConfig(kind="accuracy", orientation="as_written"))
+    rate, e2 = loss_test_rate(2.0, 1.0, DetectorConfig(kind="accuracy"))
     assert e2 == 0.5 and rate == 0.5
 
 
 def test_loss_test_benchmark_boundary():
-    cfg = DetectorConfig(kind="accuracy", beta2=0.5, orientation="reversed")
+    cfg = DetectorConfig(kind="accuracy", beta2=0.5)
     rate, e2 = loss_test_rate(2.0, 1.0, cfg)
     assert e2 == 0.5 and rate == 1.0  # e2 == beta2 -> pass
-
-
-def test_loss_test_zero_standard_as_written():
-    rate, _ = loss_test_rate(1.0, 0.0, DetectorConfig(kind="accuracy", orientation="as_written"))
-    assert rate == 1.0
 
 
 def _accuracy_setup(seed=0):
@@ -167,7 +156,7 @@ def test_accuracy_rate_end_to_end_flags_loss_increaser():
     benign = [ModelUpdate(delta=np.zeros(arch.n_params), node_id=i, episode=1) for i in range(3)]
     hostile = ModelUpdate(delta=rng.normal(3.0, 1.0, arch.n_params), node_id=3, episode=1)
     ups = benign + [hostile]
-    cfg = DetectorConfig(kind="accuracy", beta2=0.1, orientation="reversed")
+    cfg = DetectorConfig(kind="accuracy", beta2=0.1)
     standards = comparison_standard(ups)
     v = accuracy_rate(ups[3], standards[3], cfg, arch, params, val)
     assert v.components["loss_i"] > v.components["loss_st"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfedsim.data import partition, synthesize
+from dpfedsim.data import batches, partition, synthesize
 from dpfedsim.model import (
     Architecture,
     OptimizerConfig,
@@ -139,14 +139,11 @@ def test_local_train_zero_learning_rate():
 
 
 def test_local_train_single_step_closed_form():
-    from dpfedsim.data import BatchSampler
-
     shard = _shard()
     params = init_params(ARCH, substream(0, "init"))
     cfg = OptimizerConfig(kind="mbgd", learning_rate=0.01, local_steps=1, early_stop=False)
     update = local_train(ARCH, params, shard, cfg, 5)
-    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 5)
-    first_batch = sampler.next_batch()
+    first_batch = next(batches(shard.train, cfg.batch_size, 5))
     expected = -cfg.learning_rate * gradient(ARCH, params, first_batch)
     # (w - lr*g) - w loses a few low bits against -lr*g directly
     assert np.allclose(update.delta, expected, rtol=1e-10, atol=1e-16)
@@ -154,17 +151,15 @@ def test_local_train_single_step_closed_form():
 
 def test_local_train_two_step_replay():
     # scalar replay oracle: run the same two batches by hand
-    from dpfedsim.data import BatchSampler
-
     shard = _shard(seed=3)
     params = init_params(ARCH, substream(1, "init"))
     cfg = OptimizerConfig(kind="mbgd", learning_rate=0.02, local_steps=2, early_stop=False)
     update = local_train(ARCH, params, shard, cfg, 9)
 
-    sampler = BatchSampler.for_shard(shard, cfg.batch_size, 9)
+    stream = batches(shard.train, cfg.batch_size, 9)
     w = params.copy()
     for _ in range(2):
-        w = w - cfg.learning_rate * gradient(ARCH, w, sampler.next_batch())
+        w = w - cfg.learning_rate * gradient(ARCH, w, next(stream))
     assert np.array_equal(update.delta, w - params)
 
 

@@ -17,6 +17,7 @@ from dpfedsim.rdp import (
     step,
     train,
 )
+from dpfedsim.model import TrainingDivergedError
 from dpfedsim.rng import substream
 
 
@@ -325,7 +326,7 @@ def test_generate_averages_seeds():
 def test_generate_marks_failed_cells():
     def runner(e, g, _s):
         if g and e == 1.0:
-            raise RuntimeError("boom")
+            raise TrainingDivergedError(step=1, node_id=0, episode=1)
         return 2.0
 
     tables = generate_loss_tables([0.5, 1.0], [1.0], [0], runner)
@@ -336,10 +337,36 @@ def test_generate_marks_failed_cells():
         train(tables, _hyper(), seed=0)
 
 
+def test_generate_propagates_programming_errors():
+    def runner(_e, g, _s):
+        if g:
+            raise TypeError("bad call")
+        return 2.0
+
+    with pytest.raises(TypeError, match="bad call"):
+        generate_loss_tables([0.5, 1.0], [1.0], [0], runner)
+
+
 def test_generate_all_failures_rejected():
     tables = generate_loss_tables([1.0], [1.0], [0], lambda e, g, s: float("nan"))
     with pytest.raises(ValueError):
         tables.require_complete()
+
+
+def test_binning_matches_per_value_lookup():
+    # the bins of every grid point against one quantile search per value,
+    # on losses with ties, where searchsorted's side decides the bin
+    rng = substream(3, "bins")
+    m = rng.choice([1.0, 2.0, 2.5, 4.0], size=20)
+    f = rng.uniform(0.5, 3.0, size=20)
+    t = _tables(m=m, f=f)
+    qs = np.linspace(0, 1, rdp.N_BINS + 1)[1:-1]
+    for i in range(len(t.epsilon_grid)):
+        assert t.state_at(i) == RdpState(
+            int(np.searchsorted(np.quantile(m, qs), m[i], side="right")),
+            int(np.searchsorted(np.quantile(f, qs), f[i], side="right")),
+            i,
+        )
 
 
 def test_binning_deterministic_order():
