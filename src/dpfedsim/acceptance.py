@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import presets, rdp
-from .adversary import AttackConfig, adversarial_mu, inject, rmd_update
+from .adversary import adversarial_mu, inject, rmd_update
 from .config import ExperimentConfig
 from .detection import (
     DetectorConfig,
@@ -30,7 +30,7 @@ from .detection import (
     norm_rate,
 )
 from .experiment import final_loss_runner, prepare_state, run, run_training
-from .federation import FederationConfig, FederationState, RoundRecord
+from .federation import FederationState, RoundRecord
 from .model import Architecture, ModelUpdate, forward, gradient, init_params, local_train
 from .privacy import PrivacySpec, add_noise, calibrate_sigma, clip
 from .rng import substream, substream_seed
@@ -85,9 +85,9 @@ _TABLES = {
 def _train_run(overrides: dict):
     """One in-memory federation run; returns (initial_loss, records)."""
     cfg = ExperimentConfig.from_dict(overrides)
-    state, fed_cfg = prepare_state(cfg)
+    state = prepare_state(cfg)
     initial = state.global_validation_loss()
-    records, status = run_training(state, fed_cfg, cfg.attack_config(), cfg.detector_config())
+    records, status = run_training(state)
     if status != "ok":
         raise RuntimeError(f"run ended early: {status}")
     return initial, records
@@ -239,11 +239,10 @@ def _stealth_direction(_workdir) -> tuple[bool, str]:
             {**presets._DETECTOR_BASE, "attack.mode": mode, "attack.m": 3,
              "detector.kind": kind, "seed": seed}
         )
-        state, fed_cfg = prepare_state(cfg)
-        attack = cfg.attack_config()
-        records, status = run_training(state, fed_cfg, attack, cfg.detector_config())
+        state = prepare_state(cfg)
+        records, status = run_training(state)
         aborts += status != "ok"  # a degenerate all-flagged episode ends the run
-        return detection_accuracy([r.verdicts for r in records], attack.compromised)
+        return detection_accuracy([r.verdicts for r in records], state.cfg.attack.compromised)
 
     gaps = {}
     ok = True
@@ -440,12 +439,7 @@ def _detector_oracles(_workdir) -> tuple[bool, str]:
 
 # 12 ----------------------------------------------------------------
 
-def replay_per_node(
-    state: FederationState,
-    fed_cfg: FederationConfig,
-    attack: AttackConfig = AttackConfig(),
-    detector: DetectorConfig = DetectorConfig(),
-) -> tuple[list[RoundRecord], str, list[tuple[int, int]]]:
+def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, list[tuple[int, int]]]:
     """Run training from ``state``, then replay it one node at a time.
 
     Returns the run's records and status, and its mismatches. Every
@@ -457,20 +451,21 @@ def replay_per_node(
     from the run's, or whose episode or step count differs.
     """
     params = state.global_params.copy()
-    records, status = run_training(state, fed_cfg, attack, detector)
+    records, status = run_training(state)
     gamma = {row["episode"]: row["gamma_t"] for row in state.attack_trace}
-    spec, seed = fed_cfg.privacy, fed_cfg.seed
+    cfg = state.cfg
+    spec, seed = cfg.privacy, cfg.seed
     mismatches = []
     for rec in records:
         t = rec.episode
         for update in rec.submitted:
             i = update.node_id
             compromised = i in rec.active_compromised
-            if compromised and attack.kind == "rmd":
+            if compromised and cfg.attack.kind == "rmd":
                 expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i, episode=t)
             else:
                 raw = local_train(
-                    state.arch, params, state.shards[i], fed_cfg.optimizer,
+                    state.arch, params, state.shards[i], cfg.optimizer,
                     substream_seed(seed, "train", t, i), node_id=i, episode=t,
                 )
                 clipped, noise_rng = clip(raw, spec.clip_c), substream(seed, "noise", t, i)
@@ -504,10 +499,7 @@ def _determinism(workdir) -> tuple[bool, str]:
     ]
     if mismatches:
         return False, f"mismatched CSVs: {mismatches}"
-    state, fed_cfg = prepare_state(cfg)
-    records, _status, differing = replay_per_node(
-        state, fed_cfg, cfg.attack_config(), cfg.detector_config()
-    )
+    records, _status, differing = replay_per_node(prepare_state(cfg))
     checked = sum(len(rec.submitted) for rec in records)
     if differing:
         return False, f"{len(differing)} of {checked} submissions differ from per-node training: {differing[:5]}"

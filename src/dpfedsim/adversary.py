@@ -124,16 +124,18 @@ def tune_poison_degree(
     return gamma_episode, gamma_episode if gamma_episode != 0.0 else gamma, ratio
 
 
-def gamma_for_episode(state, cfg: AttackConfig) -> dict:
+def gamma_for_episode(state) -> dict:
     """The attack-trace row of the episode that ``state`` (the federation
-    state) has just entered; its gamma_t is the one degree of poisoning
-    every active compromised node injects with.
+    state) has just entered, under its run's attack ``state.cfg.attack``;
+    its gamma_t is the one degree of poisoning every active compromised
+    node injects with.
 
     The run's trace so far, ``state.attack_trace``, is the controller's
     memory: its losses are the history and its last gamma_current the
     current degree (gamma0 before the first row). A fixed degree skips
     the controller and records no loss.
     """
+    cfg = state.cfg.attack
     if cfg.gamma_fixed is not None:
         gamma_episode = gamma_current = cfg.gamma_fixed
         ratio = current = float("nan")

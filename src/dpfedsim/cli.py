@@ -199,6 +199,10 @@ def _cmd_rdp_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     tables = read_tables(args.tables)
+    try:
+        tables.require_complete()
+    except ValueError as exc:
+        raise UsageError(f"{args.tables}: {exc}") from exc
     result = rdp.train(tables, hyper, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +232,7 @@ def _cmd_rdp_train(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dirs = args.runs
-    if len(run_dirs) == 1 and not (Path(run_dirs[0]) / "summary.csv").exists():
+    if len(run_dirs) == 1:
         run_dirs = discover_runs(run_dirs[0])
     text, _rows = report(run_dirs, args.out)
     print(text)

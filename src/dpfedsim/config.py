@@ -8,6 +8,7 @@ failures name the offending field path (usage errors, CLI exit code 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .adversary import AttackConfig
@@ -31,7 +32,6 @@ DEFAULTS: dict[str, object] = {
     "data.n_samples": 3000,
     "data.noise_scale": 0.05,
     "data.server_split": 0.02,
-    "data.cache_dir": "",
     "model.hidden": "16,8",
     "federation.nodes": 100,
     "federation.participants": 30,
@@ -78,11 +78,14 @@ def _coerce(key: str, raw, default) -> object:
             return _BOOLS[str(raw).lower()]
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
-        if isinstance(default, float) or key in _OPTIONAL_FLOATS:
-            return float(raw)
+        if not (isinstance(default, float) or key in _OPTIONAL_FLOATS):
+            return str(raw)
+        value = float(raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(key, f"cannot parse {raw!r}") from exc
-    return str(raw)
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -213,6 +216,8 @@ class ExperimentConfig:
             privacy=self.privacy_spec(),
             optimizer=self.optimizer_config(),
             stop_threshold=self.values["privacy.stop_threshold"],
+            attack=self.attack_config(),
+            detector=self.detector_config(),
         )
 
     def detector_config(self) -> DetectorConfig:

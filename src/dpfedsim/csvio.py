@@ -50,15 +50,3 @@ def read_csv(path, schema: str, version: int) -> list[dict]:
             raise SchemaError(f"{path}: expected {expected!r}, found {first!r}")
         return list(csv.DictReader(handle))
 
-
-def read_schema_line(path) -> tuple[str, int]:
-    """Parse the schema name and version from a file's first line."""
-    with open(path, newline="") as handle:
-        first = handle.readline().strip()
-    if not first.startswith("# schema: ") or " v" not in first:
-        raise SchemaError(f"{path}: missing schema header line")
-    name, _, ver = first[len("# schema: "):].rpartition(" v")
-    try:
-        return name, int(ver)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: malformed schema version") from exc

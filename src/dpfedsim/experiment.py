@@ -15,17 +15,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import csvio
-from .adversary import AttackConfig
 from .config import ExperimentConfig
 from .data import ingest_csv, load_cache, partition, split_holdout, synthesize
-from .detection import DetectorConfig, detection_accuracy
-from .federation import (
-    EmptyAggregationError,
-    FederationConfig,
-    FederationState,
-    RoundRecord,
-    run_episode,
-)
+from .detection import detection_accuracy
+from .federation import EmptyAggregationError, FederationState, RoundRecord, run_episode
 
 SCHEMAS = {
     "episodes": 1,
@@ -56,28 +49,21 @@ def build_dataset(cfg: ExperimentConfig):
     if source == "synthetic":
         return synthesize(cfg["data.n_samples"], cfg["seed"], cfg["data.noise_scale"])
     if source == "csv":
-        cache_dir = cfg["data.cache_dir"] or None
-        return ingest_csv(cfg["data.path"], cache_dir=cache_dir)
+        return ingest_csv(cfg["data.path"])
     return load_cache(cfg["data.path"])
 
 
-def prepare_state(cfg: ExperimentConfig):
-    """Dataset -> server holdout + node shards -> initial federation state."""
+def prepare_state(cfg: ExperimentConfig) -> FederationState:
+    """Dataset -> server holdout + node shards -> initial federation state,
+    which carries the run's federation config (attack and detector too)."""
     data = build_dataset(cfg)
     holdout, rest = split_holdout(data, cfg["data.server_split"], cfg["seed"])
     shards = partition(rest, cfg["federation.nodes"], cfg["seed"])
     server_validation = (holdout.x, holdout.y) if len(holdout) else None
-    fed_cfg = cfg.federation_config()
-    state = FederationState.create(fed_cfg, shards, cfg.architecture(), server_validation)
-    return state, fed_cfg
+    return FederationState.create(cfg.federation_config(), shards, cfg.architecture(), server_validation)
 
 
-def run_training(
-    state: FederationState,
-    fed_cfg: FederationConfig,
-    attack: AttackConfig = AttackConfig(),
-    detector: DetectorConfig = DetectorConfig(),
-) -> tuple[list[RoundRecord], str]:
+def run_training(state: FederationState) -> tuple[list[RoundRecord], str]:
     """Run episodes until the configured count or the ledger stop.
 
     Returns the episode records and the run status: "ok", or
@@ -85,9 +71,9 @@ def run_training(
     in episode t was flagged. TrainingDivergedError propagates.
     """
     records: list[RoundRecord] = []
-    for _ in range(fed_cfg.episodes):
+    for _ in range(state.cfg.episodes):
         try:
-            records.append(run_episode(state, fed_cfg, attack, detector))
+            records.append(run_episode(state))
         except EmptyAggregationError as exc:
             return records, f"aborted_empty_aggregation_episode_{exc.episode}"
         if state.ledger.stopped:
@@ -101,20 +87,17 @@ def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    state, fed_cfg = prepare_state(cfg)
-    attack = cfg.attack_config()
-    records, status = run_training(state, fed_cfg, attack, cfg.detector_config())
-    detector_armed = cfg["detector.kind"] != "off"
-    truth = attack.compromised
+    state = prepare_state(cfg)
+    records, status = run_training(state)
 
-    paths = _emit_metrics(out_dir, cfg, records, state.attack_trace, detector_armed, truth)
+    paths = _emit_metrics(out_dir, cfg, state, records)
     summary = {
         "episodes_executed": len(records),
         "final_val_loss": records[-1].global_val_loss if records else float("nan"),
         "delta_spent": records[-1].delta_cumulative if records else 0.0,
     }
-    if detector_armed:
-        summary["d_acc"] = detection_accuracy([r.verdicts for r in records], truth)
+    if state.cfg.detector.kind != "off":
+        summary["d_acc"] = detection_accuracy([r.verdicts for r in records], state.cfg.attack.compromised)
     _write_summary(out_dir / "summary.csv", cfg, summary, status)
     paths["summary"] = out_dir / "summary.csv"
     _write_sidecar(out_dir / "run_info.txt", cfg, status, started)
@@ -124,14 +107,12 @@ def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
 def _emit_metrics(
     out_dir: Path,
     cfg: ExperimentConfig,
+    state: FederationState,
     records: Sequence[RoundRecord],
-    attack_trace: Sequence[dict],
-    detector_armed: bool,
-    truth: frozenset,
 ) -> dict[str, Path]:
-    detector_kind = cfg["detector.kind"]
-    attacked = cfg["attack.mode"] != "none"
-    attack_by_episode = {row["episode"]: row for row in attack_trace}
+    attack, detector = state.cfg.attack, state.cfg.detector
+    attacked = attack.kind != "none"
+    attack_by_episode = {row["episode"]: row for row in state.attack_trace}
 
     episode_fields = [
         "episode", "n", "m_active", "global_val_loss", "delta_cumulative",
@@ -148,7 +129,7 @@ def _emit_metrics(
             "global_val_loss": rec.global_val_loss,
             "delta_cumulative": rec.delta_cumulative,
             "flagged_count": len(rec.flagged),
-            "detector_kind": detector_kind,
+            "detector_kind": detector.kind,
         }
         if attacked:
             trace = attack_by_episode.get(rec.episode)
@@ -180,25 +161,25 @@ def _emit_metrics(
         paths["attack"] = csvio.write_csv(
             out_dir / "attack.csv", "attack", SCHEMAS["attack"],
             ["episode", "gamma_t", "gamma_current", "loss_ratio", "avg_compromised_val_loss"],
-            attack_trace,
+            state.attack_trace,
         )
 
-    if detector_armed:
+    if detector.kind != "off":
         det_rows = []
         for rec in records:
             for verdict in rec.verdicts:
                 det_rows.append(
                     {
                         "episode": rec.episode,
-                        "kind": detector_kind,
-                        "beta1": cfg["detector.beta1"],
-                        "beta2": cfg["detector.beta2"],
-                        "d_max": cfg["detector.d_max"],
+                        "kind": detector.kind,
+                        "beta1": detector.beta1,
+                        "beta2": detector.beta2,
+                        "d_max": detector.d_max,
                         "orientation": cfg["detector.orientation"],
                         "node_id": verdict.node_id,
                         "rate": verdict.rate,
                         "flagged": verdict.flagged,
-                        "is_truly_malicious": verdict.node_id in truth,
+                        "is_truly_malicious": verdict.node_id in attack.compromised,
                     }
                 )
         paths["detection"] = csvio.write_csv(
@@ -257,13 +238,15 @@ def final_loss_runner(base: ExperimentConfig):
 
     Returns a callable (epsilon, gamma, seed) -> final validation loss,
     benign when gamma is None, otherwise a fixed-degree adaptive-noise
-    attack using the base config's attack block.
+    attack using the base config's attack block. No detector runs, so no
+    episode can abort on an empty aggregation.
     """
 
     def final_loss(epsilon: float, gamma, seed: int) -> float:
         overrides = dict(base.values)
         overrides["privacy.epsilon"] = epsilon
         overrides["seed"] = seed
+        overrides["detector.kind"] = "off"
         if gamma is None:
             overrides["attack.mode"] = "none"
             overrides["attack.m"] = 0
@@ -271,10 +254,7 @@ def final_loss_runner(base: ExperimentConfig):
             overrides["attack.mode"] = "mpelm"
             overrides["attack.m"] = max(1, int(base["attack.m"]))
             overrides["attack.gamma_fixed"] = gamma
-        cfg = ExperimentConfig.from_dict(overrides)
-        state, fed_cfg = prepare_state(cfg)
-        # no detector here, so no episode can abort on an empty aggregation
-        records, _status = run_training(state, fed_cfg, cfg.attack_config())
+        records, _status = run_training(prepare_state(ExperimentConfig.from_dict(overrides)))
         return records[-1].global_val_loss
 
     return final_loss
@@ -291,11 +271,6 @@ def report(run_dirs: Sequence, out_path=None) -> tuple[str, list[dict]]:
         summary_path = run_dir / "summary.csv"
         if not summary_path.exists():
             raise FileNotFoundError(f"{run_dir}: no summary.csv (not a run directory?)")
-        name, version = csvio.read_schema_line(summary_path)
-        if name != "summary" or version != SCHEMAS["summary"]:
-            raise csvio.SchemaError(
-                f"{summary_path}: schema {name} v{version} does not match summary v{SCHEMAS['summary']}"
-            )
         for row in csvio.read_csv(summary_path, "summary", SCHEMAS["summary"]):
             rows.append({"run": run_dir.name, **row})
 

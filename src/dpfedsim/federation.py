@@ -46,6 +46,8 @@ class FederationConfig:
     privacy: PrivacySpec = field(default_factory=lambda: PrivacySpec(epsilon=0.7))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     stop_threshold: float = 0.01
+    attack: adv.AttackConfig = adv.AttackConfig()
+    detector: det.DetectorConfig = det.DetectorConfig()
 
     def __post_init__(self):
         if not 1 <= self.n <= self.k:
@@ -86,8 +88,10 @@ class RoundRecord:
 
 @dataclass
 class FederationState:
-    """Everything the orchestrator owns across episodes (single writer)."""
+    """Everything the orchestrator owns across episodes (single writer),
+    with the run's configuration."""
 
+    cfg: FederationConfig
     arch: Architecture
     shards: list[NodeShard]
     global_params: np.ndarray
@@ -106,9 +110,12 @@ class FederationState:
         arch: Architecture = None,
         server_validation=None,
     ) -> "FederationState":
+        if cfg.detector.kind in ("accuracy", "mix") and server_validation is None:
+            raise ValueError(f"{cfg.detector.kind} detection requires a server validation set")
         arch = arch or Architecture()
         params = init_params(arch, substream(cfg.seed, "init"))
         return cls(
+            cfg=cfg,
             arch=arch,
             shards=list(shards),
             global_params=params,
@@ -146,32 +153,21 @@ def aggregate(global_params: np.ndarray, updates: Sequence[ModelUpdate]) -> np.n
     return global_params + total / len(updates)
 
 
-def _submission(
-    raw: ModelUpdate,
-    cfg: FederationConfig,
-    attack: adv.AttackConfig,
-    gamma: float,
-) -> ModelUpdate:
+def _submission(raw: ModelUpdate, cfg: FederationConfig, gamma: float) -> ModelUpdate:
     """Clip and noise one trained update (adversarially, with the episode's
     degree of poisoning gamma, for compromised nodes)."""
     clipped = clip(raw, cfg.privacy.clip_c)
     noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
-    if raw.node_id in attack.compromised:
+    if raw.node_id in cfg.attack.compromised:
         return adv.inject(clipped, cfg.privacy, gamma, noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
 
 
-def run_episode(
-    state: FederationState,
-    cfg: FederationConfig,
-    attack: adv.AttackConfig = adv.AttackConfig(),
-    detector: det.DetectorConfig = det.DetectorConfig(),
-) -> RoundRecord:
+def run_episode(state: FederationState) -> RoundRecord:
     """Execute one full federation episode and advance the state."""
     if state.ledger.stopped:
         raise RuntimeError("privacy ledger exhausted; cannot run another episode")
-    if detector.kind in ("accuracy", "mix") and state.server_validation is None:
-        raise ValueError(f"{detector.kind} detection requires a server validation set")
+    cfg, attack = state.cfg, state.cfg.attack
     state.episode += 1
     t = state.episode
 
@@ -184,7 +180,7 @@ def run_episode(
     # degree.
     gamma = 0.0
     if attack.kind == "mpelm" and active_compromised:
-        row = adv.gamma_for_episode(state, attack)
+        row = adv.gamma_for_episode(state)
         state.attack_trace.append(row)
         gamma = row["gamma_t"]
 
@@ -210,11 +206,11 @@ def run_episode(
                                node_id=i, episode=t)
             )
         else:
-            submitted.append(_submission(raw[i], cfg, attack, gamma))
+            submitted.append(_submission(raw[i], cfg, gamma))
 
     verdicts = det.evaluate(
         submitted,
-        detector,
+        cfg.detector,
         state.arch,
         state.global_params,
         state.server_validation,

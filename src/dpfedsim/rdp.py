@@ -115,7 +115,9 @@ class LossTables:
         )
 
     def require_complete(self) -> None:
-        """Training needs every grid point backed by valid positive losses."""
+        """Training needs a grid, every point backed by valid positive losses."""
+        if not self.epsilon_grid:
+            raise ValueError("loss tables have no grid points")
         if np.any(~np.isfinite(self.m_l)) or np.any(~np.isfinite(self.f_l)):
             raise ValueError("loss tables have grid points with no valid cells")
         if np.any(self.m_l <= 0) or np.any(self.f_l <= 0):

@@ -148,11 +148,11 @@ def test_loss_list_tracks_step_count():
     # earlier losses and the last gamma_current
     cfg = _cfg()
     shards = partition(synthesize(60, seed=1), 3, seed=1)
-    state = FederationState.create(FederationConfig(k=3, n=3), shards, Architecture(hidden=(2, 2)))
+    state = FederationState.create(FederationConfig(k=3, n=3, attack=cfg), shards, Architecture(hidden=(2, 2)))
     losses, gamma = [], cfg.gamma0
     for k in range(1, 8):
         state.episode = k
-        row = gamma_for_episode(state, cfg)
+        row = gamma_for_episode(state)
         loss = row["avg_compromised_val_loss"]
         gamma_episode, gamma, ratio = tune_poison_degree(losses, gamma, loss, cfg)
         assert (row["episode"], row["gamma_t"], row["gamma_current"], row["loss_ratio"]) == (

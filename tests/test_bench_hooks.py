@@ -4,12 +4,16 @@ perfbench/tracer.py wraps public functions at the names the program looks
 them up under. A refactor that moves a call behind another binding makes
 the per-layer metrics read zero; these checks catch that in the test
 suite. The workloads must also still build from the program's config
-keys and presets. The benchmark's files are imported read-only.
+keys and presets, and the harness must still measure a run end to end.
+The benchmark's files are imported read-only.
 """
 
+import importlib
 import importlib.util
 import json
+import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,25 @@ def tracer():
 @pytest.fixture(scope="module")
 def workloads():
     yield from _bench_module("workloads")
+
+
+# perfbench/run.py imports its siblings by these top-level names.
+_HARNESS = ("run", "tracer", "workloads", "calibration")
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    """The benchmark's modules, imported as run.py imports them: from the
+    perfbench directory, without writing bytecode there."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in _HARNESS:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        yield tuple(importlib.import_module(name) for name in _HARNESS)
+    finally:
+        for name in _HARNESS:
+            sys.modules.pop(name, None)
 
 
 def _smoke_config() -> ExperimentConfig:
@@ -139,3 +162,25 @@ def test_workloads_build_the_pinned_operations(workloads):
         assert sorted(names) == sorted(reference["workloads"][name]), name
     # the loss-table base is written to a config file only when the operation runs
     ExperimentConfig.from_dict(workloads.TABLES_BASE)
+
+
+def test_harness_measures_a_smoke_run(harness, tmp_path):
+    """One untraced and one traced pass of a smoke run through the
+    benchmark's own run_pass, end_to_end and layer_metrics. A run_episode
+    the light hook cannot see leaves end_to_end no episode times, and it
+    raises."""
+    run, tracer, workloads, calibration = harness
+    name, overrides = presets.expand("smoke")[0]
+    ops = [workloads._run_op(name, {**overrides, "seed": 5})]
+    machine = calibration.Calibration()
+    # the calibration samples its kernel only once this much time has passed
+    time.sleep(1.5 * calibration.NOMINAL_S / calibration.BUDGET_SHARE)
+    untraced = run.run_pass(ops, tmp_path / "work", False, machine)
+    traced = run.run_pass(ops, tmp_path / "work", True, machine)
+
+    assert [o.status for p in (untraced, traced) for o in p.outcomes.values()] == ["ok", "ok"]
+    for values, _samples in (run.end_to_end([untraced], machine), run.end_to_end([untraced])):
+        assert all(math.isfinite(v) for v in values.values()), values
+    layers = tracer.layer_metrics(traced.tracer, traced.wall_s, untraced.wall_s, run.run_ends(traced.outcomes))
+    assert all(math.isfinite(v) for v in layers.values())
+    assert layers["federation.node_updates"] == 15

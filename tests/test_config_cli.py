@@ -99,7 +99,6 @@ def test_csv_schema_mismatch(tmp_path):
         csvio.read_csv(path, "episodes", 2)
     with pytest.raises(csvio.SchemaError):
         csvio.read_csv(path, "ledger", 1)
-    assert csvio.read_schema_line(path) == ("episodes", 1)
 
 
 def test_csv_floats_full_precision(tmp_path):
@@ -197,6 +196,15 @@ def test_cli_usage_error_exit_code(tmp_path):
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
         pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
         pytest.param("attack.theta = 0", "attack.theta: unknown", id="removed_theta_key"),
+        pytest.param("data.cache_dir = cache", "data.cache_dir: unknown", id="removed_cache_dir_key"),
+        # a non-finite float would run without noise, never stop, or flag nothing
+        pytest.param("privacy.epsilon = nan", "privacy.epsilon: must be finite", id="nan_epsilon"),
+        pytest.param("privacy.epsilon = inf", "privacy.epsilon: must be finite", id="inf_epsilon"),
+        pytest.param("detector.beta1 = nan", "detector.beta1: must be finite", id="nan_beta1"),
+        pytest.param(
+            "privacy.stop_threshold = nan", "privacy.stop_threshold: must be finite", id="nan_stop_threshold"
+        ),
+        pytest.param("attack.gamma_fixed = -inf", "attack.gamma_fixed: must be finite", id="inf_gamma_fixed"),
         pytest.param(
             "detector.orientation = as_written", "detector.orientation: only reversed",
             id="orientation_as_written",
@@ -387,4 +395,22 @@ def test_cli_rdp_train_rejects_invalid_hyper_parameters(tmp_path, capsys, flags,
     out = tmp_path / "agent"
     assert main(["rdp-train", "--tables", str(path), "--out", str(out)] + flags) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rdp_train_rejects_empty_tables(tmp_path, capsys):
+    # a loss_tables.csv holding only its schema line and header
+    path = write_tables(tmp_path / "lt.csv", LossTables.from_cells([]))
+    out = tmp_path / "agent"
+    assert main(["rdp-train", "--tables", str(path), "--out", str(out)]) == 1
+    assert f"{path}: loss tables have no grid points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rdp_tables_rejects_non_finite_gamma(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, "attack.mode = mpelm\nattack.m = 1\n")
+    out = tmp_path / "tables"
+    argv = ["rdp-tables", "--config", str(cfg), "--out", str(out), "--gammas", "nan", "--table-seeds", "0"]
+    assert main(argv) == 1
+    assert "attack.gamma_fixed: must be finite" in capsys.readouterr().err
     assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_episode_noop_when_inert():
     state = _state(cfg, n_samples=40)
     before = state.global_params.copy()
     loss_before = state.global_validation_loss()
-    record = run_episode(state, cfg)
+    record = run_episode(state)
     assert np.allclose(record.global_params_after, before, atol=1e-280)
     assert record.global_val_loss == pytest.approx(loss_before, abs=1e-12)
 
@@ -141,9 +142,9 @@ def test_episode_detector_noop_matches_off():
     cfg = _fed_cfg(privacy=PrivacySpec(epsilon=1e300, delta=0.001, clip_c=1.0))
     permissive = DetectorConfig(kind="norm", beta1=1e9, d_max=10.0)
     s_off = _state(cfg)
-    s_on = _state(cfg)
-    r_off = run_episode(s_off, cfg, detector=DetectorConfig())
-    r_on = run_episode(s_on, cfg, detector=permissive)
+    s_on = _state(replace(cfg, detector=permissive))
+    r_off = run_episode(s_off)
+    r_on = run_episode(s_on)
     assert r_on.flagged == frozenset()
     assert r_off.same_outcome(r_on)
 
@@ -151,7 +152,7 @@ def test_episode_detector_noop_matches_off():
 def test_episode_submitted_count_and_flag_subset():
     cfg = _fed_cfg()
     state = _state(cfg)
-    record = run_episode(state, cfg)
+    record = run_episode(state)
     assert len(record.submitted) == cfg.n
     assert set(record.flagged) <= set(record.selected)
 
@@ -161,7 +162,7 @@ def test_episode_clipped_before_noise():
     # left is the clipped update, whose norm must respect the threshold
     cfg = _fed_cfg()
     state = _state(cfg)
-    record = run_episode(state, cfg)
+    record = run_episode(state)
     for update in record.submitted:
         noise = cfg.privacy.noise_std * substream(
             cfg.seed, "noise", record.episode, update.node_id
@@ -171,50 +172,48 @@ def test_episode_clipped_before_noise():
 
 
 def test_episode_all_flagged_aborts():
-    cfg = _fed_cfg(n=3)
-    state = _state(cfg)
     # impossible benchmark: every model beyond it
-    detector = DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0)
+    cfg = _fed_cfg(n=3, detector=DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0))
+    state = _state(cfg)
     # large DP noise guarantees positive distances
     with pytest.raises(EmptyAggregationError):
-        run_episode(state, cfg, detector=detector)
+        run_episode(state)
 
 
 def test_episode_requires_live_ledger():
     cfg = _fed_cfg(stop_threshold=1e-9)
     state = _state(cfg)
-    run_episode(state, cfg)
+    run_episode(state)
     with pytest.raises(RuntimeError, match="ledger"):
-        run_episode(state, cfg)
+        run_episode(state)
 
 
 def test_accuracy_detector_requires_server_validation():
-    cfg = _fed_cfg()
-    state = _state(cfg)
+    cfg = _fed_cfg(detector=DetectorConfig(kind="accuracy"))
     with pytest.raises(ValueError, match="server validation"):
-        run_episode(state, cfg, detector=DetectorConfig(kind="accuracy"))
+        _state(cfg)
 
 
 # training loop ----------------------------------------------------------
 
 def test_training_single_episode():
     cfg = _fed_cfg(episodes=1)
-    records, status = run_training(_state(cfg), cfg)
+    records, status = run_training(_state(cfg))
     assert len(records) == 1 and status == "ok"
 
 
 def test_training_stops_with_ledger():
     # delta 0.001 per episode and threshold 0.0025: stop after the third
     cfg = _fed_cfg(episodes=10, stop_threshold=0.0025)
-    records, status = run_training(_state(cfg), cfg)
+    records, status = run_training(_state(cfg))
     assert len(records) == 3 and status == "ok"
     assert records[-1].delta_cumulative > cfg.stop_threshold
 
 
 def test_training_bitwise_reproducible():
     cfg = _fed_cfg(episodes=3)
-    a, _ = run_training(_state(cfg), cfg)
-    b, _ = run_training(_state(cfg), cfg)
+    a, _ = run_training(_state(cfg))
+    b, _ = run_training(_state(cfg))
     assert len(a) == len(b)
     assert all(x.same_outcome(y) for x, y in zip(a, b))
 
@@ -233,12 +232,11 @@ def test_training_equals_per_node_reference(attack, gamma_fixed):
     # local_train, clip, then noise (inject with the episode's one degree
     # from the run's attack trace for compromised nodes) or the rmd draw,
     # from the same substreams and the global model the episode started from
-    cfg = _fed_cfg(k=8, n=5, episodes=3)
-    state = _state(cfg)
     config = AttackConfig()
     if attack:
         config = AttackConfig(kind=attack, compromised=frozenset({1, 4}), gamma_fixed=gamma_fixed)
-    records, status, mismatches = replay_per_node(state, cfg, config)
+    state = _state(_fed_cfg(k=8, n=5, episodes=3, attack=config))
+    records, status, mismatches = replay_per_node(state)
     assert status == "ok" and len(records) == 3
     assert mismatches == []
     if attack == "mpelm" and gamma_fixed is None:
@@ -253,16 +251,16 @@ def test_training_equals_per_node_reference(attack, gamma_fixed):
 def test_submitted_updates_report_training_steps():
     local_steps = 12
     cfg = _fed_cfg(optimizer=OptimizerConfig(learning_rate=0.2, local_steps=local_steps, patience=1))
-    records, _ = run_training(_state(cfg), cfg)
+    records, _ = run_training(_state(cfg))
     steps = [u.steps for rec in records for u in rec.submitted]
     assert all(1 <= s <= local_steps for s in steps)
     assert min(steps) < local_steps  # some node stopped early
 
 
 def test_training_reports_empty_aggregation_status():
-    cfg = _fed_cfg(n=3, episodes=5)
     detector = DetectorConfig(kind="norm", beta1=1e-12, d_max=10.0)  # flags every update
-    records, status = run_training(_state(cfg), cfg, AttackConfig(), detector)
+    cfg = _fed_cfg(n=3, episodes=5, detector=detector)
+    records, status = run_training(_state(cfg))
     assert records == [] and status == "aborted_empty_aggregation_episode_1"
 
 
@@ -277,24 +275,21 @@ def test_attacked_run_with_gamma_zero_equals_benign():
         "seed": 3,
     }
     cfg_b = ExperimentConfig.from_dict(base)
-    state_b, fed_b = prepare_state(cfg_b)
-    benign, _ = run_training(state_b, fed_b)
+    benign, _ = run_training(prepare_state(cfg_b))
 
     cfg_a = ExperimentConfig.from_dict(
         {**base, "attack.mode": "mpelm", "attack.m": 3, "attack.gamma_fixed": 0.0}
     )
-    state_a, fed_a = prepare_state(cfg_a)
-    attacked, _ = run_training(state_a, fed_a, cfg_a.attack_config())
+    attacked, _ = run_training(prepare_state(cfg_a))
 
     assert len(benign) == len(attacked)
     assert all(x.same_outcome(y) for x, y in zip(benign, attacked))
 
 
 def test_rmd_nodes_submit_without_training():
-    cfg = _fed_cfg(k=5, n=5, episodes=1)
+    cfg = _fed_cfg(k=5, n=5, episodes=1, attack=AttackConfig(kind="rmd", compromised=frozenset({0})))
     shards = partition(synthesize(100, seed=1), cfg.k, seed=1)
-    attack = AttackConfig(kind="rmd", compromised=frozenset({0}))
-    records, _ = run_training(FederationState.create(cfg, shards), cfg, attack)
+    records, _ = run_training(FederationState.create(cfg, shards))
     rec = records[0]
     assert rec.active_compromised == (0,)
     # the compromised submission reflects the clip-scaled random vector,
@@ -309,11 +304,11 @@ def test_rmd_nodes_submit_without_training():
 
 
 def test_adaptive_attacker_steps_only_when_active():
-    cfg = _fed_cfg(k=20, n=3, episodes=5)
-    shards = partition(synthesize(300, seed=2), cfg.k, seed=2)
     attack = AttackConfig(kind="mpelm", compromised=frozenset({0}), gamma0=0.7)
+    cfg = _fed_cfg(k=20, n=3, episodes=5, attack=attack)
+    shards = partition(synthesize(300, seed=2), cfg.k, seed=2)
     state = FederationState.create(cfg, shards)
-    records, _ = run_training(state, cfg, attack)
+    records, _ = run_training(state)
     active_episodes = [r.episode for r in records if r.active_compromised]
     assert [row["episode"] for row in state.attack_trace] == active_episodes
     losses = [row["avg_compromised_val_loss"] for row in state.attack_trace]
