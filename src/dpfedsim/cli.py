@@ -1,8 +1,10 @@
 """Command-line front door.
 
-Subcommands: ingest, train, attack, rdp-tables, rdp-train, report,
-accept. Detection is a flag on train/attack (--detector). Exit codes:
-0 ok, 1 usage error, 2 runtime error, 3 acceptance failure.
+Subcommands: ingest, train, rdp-tables, rdp-train, report, accept. A
+run's attack and detector come from its config keys (attack.mode,
+attack.m, detector.kind), set in a --config file or per cell by a
+--preset. Exit codes: 0 ok, 1 usage error, 2 runtime error, 3
+acceptance failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import csvio, presets, rdp
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_config_text
 from .experiment import SCHEMAS, discover_runs, final_loss_runner, report, run
 from .model import TrainingDivergedError
 
@@ -46,15 +48,8 @@ def _build_parser() -> _Parser:
     p_ingest.add_argument("path", help="semicolon-separated source CSV")
     p_ingest.add_argument("--out", default="cache", help="cache directory")
 
-    p_train = sub.add_parser("train", help="run federation (benign unless the config arms an attack)")
+    p_train = sub.add_parser("train", help="run federation with the configured attack and detector")
     common(p_train)
-    p_train.add_argument("--detector", choices=["off", "norm", "accuracy", "mix"],
-                         help="arm a detector, overriding the config")
-
-    p_attack = sub.add_parser("attack", help="run federation with the configured attacker")
-    common(p_attack)
-    p_attack.add_argument("--detector", choices=["off", "norm", "accuracy", "mix"])
-    p_attack.add_argument("--mode", choices=["rmd", "mpelm"], help="attack mode override")
 
     p_tables = sub.add_parser("rdp-tables", help="generate attacker/federated loss tables")
     common(p_tables, with_preset=False)
@@ -81,18 +76,16 @@ def _build_parser() -> _Parser:
 
 def _load_config(args, overrides=None) -> ExperimentConfig:
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(parse_file(args.config))
     if overrides:
         values.update(overrides)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         values["seed"] = args.seed
     return ExperimentConfig.from_dict(values)
 
 
 def parse_file(path) -> dict:
-    from .config import parse_config_text
-
     return parse_config_text(Path(path).read_text())
 
 
@@ -111,14 +104,11 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if bundle.status == "ok" else EXIT_RUNTIME
 
 
-def _cmd_train(args, forced_mode=None) -> int:
+def _cmd_train(args) -> int:
     out_root = Path(args.out)
     if args.preset:
-        for flag in ("detector", "mode"):
-            if getattr(args, flag, None):
-                raise UsageError(f"--{flag} cannot be combined with --preset, which sets it per cell")
         cells = presets.expand(args.preset)
-        if getattr(args, "config", None):
+        if args.config:
             preset_keys = set().union(*(overrides for _name, overrides in cells))
             clash = sorted(preset_keys.intersection(parse_file(args.config)))
             if clash:
@@ -134,30 +124,13 @@ def _cmd_train(args, forced_mode=None) -> int:
                 print(f"{out_root / name}: diverged at episode {exc.episode}, node {exc.node_id}, step {exc.step}")
                 worst = EXIT_RUNTIME
         return worst
-    overrides = {}
-    if getattr(args, "detector", None):
-        overrides["detector.kind"] = args.detector
-    if forced_mode:
-        overrides["attack.mode"] = forced_mode
-    elif getattr(args, "mode", None):
-        overrides["attack.mode"] = args.mode
-    cfg = _load_config(args, overrides)
-    return _run_single(cfg, out_root)
-
-
-def _cmd_attack(args) -> int:
-    mode = args.mode or "mpelm"
-    if getattr(args, "config", None):
-        file_mode = parse_file(args.config).get("attack.mode", "")
-        if file_mode in ("rmd", "mpelm") and not args.mode:
-            mode = file_mode
-    return _cmd_train(args, forced_mode=mode)
+    return _run_single(_load_config(args), out_root)
 
 
 def _cmd_rdp_tables(args) -> int:
     base = _load_config(args)
-    gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
-    seeds = [int(s) for s in args.table_seeds.split(",") if s.strip()]
+    gammas = _parse_list("--gammas", args.gammas, float)
+    seeds = _parse_list("--table-seeds", args.table_seeds, int)
     if not gammas or not seeds:
         raise UsageError("--gammas and --table-seeds must be nonempty")
     tables = rdp.generate_loss_tables(
@@ -168,6 +141,13 @@ def _cmd_rdp_tables(args) -> int:
     path = write_tables(out / "loss_tables.csv", tables)
     print(f"wrote {path} ({len(tables.cells)} cells)")
     return EXIT_OK
+
+
+def _parse_list(flag: str, text: str, cast) -> list:
+    try:
+        return [cast(item) for item in text.split(",") if item.strip()]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def write_tables(path, tables: rdp.LossTables):
@@ -257,7 +237,6 @@ def main(argv=None) -> int:
         handlers = {
             "ingest": _cmd_ingest,
             "train": _cmd_train,
-            "attack": _cmd_attack,
             "rdp-tables": _cmd_rdp_tables,
             "rdp-train": _cmd_rdp_train,
             "report": _cmd_report,

@@ -144,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError("attack.m", f"need 0 <= {m} <= federation.participants ({n})")
         if v["attack.mode"] == "none" and m != 0:
             raise ConfigError("attack.m", "must be 0 when attack.mode is none")
+        if v["attack.mode"] in ("rmd", "mpelm") and m < 1:
+            raise ConfigError("attack.m", f"must be >= 1 when attack.mode is {v['attack.mode']}")
         if v["attack.mode"] not in ("none", "rmd", "mpelm"):
             raise ConfigError("attack.mode", f"unknown mode {v['attack.mode']!r}")
         if v["federation.episodes"] < 1:

@@ -221,6 +221,14 @@ def test_cli_usage_error_exit_code(tmp_path):
             "attack.mode = mpelm\nattack.m = 2\nattack.gamma_fixed = -1", "attack: fixed degree",
             id="negative_gamma_fixed",
         ),
+        # an attack mode with no compromised node would run benign yet be labelled attacked
+        pytest.param(
+            "attack.mode = rmd", "attack.m: must be >= 1 when attack.mode is rmd", id="rmd_without_compromised"
+        ),
+        pytest.param(
+            "attack.mode = mpelm\nattack.m = 0", "attack.m: must be >= 1 when attack.mode is mpelm",
+            id="mpelm_without_compromised",
+        ),
         pytest.param("privacy.clip = 0", "privacy: clipping threshold clip_c", id="clip"),
         pytest.param("detector.beta1 = 0", "detector: norm benchmark beta1", id="beta1"),
         pytest.param("detector.beta2 = -1", "detector: accuracy benchmark beta2", id="beta2"),
@@ -260,20 +268,6 @@ def test_cli_preset_continues_past_a_diverging_cell(tmp_path, monkeypatch, capsy
     assert (tmp_path / "fine" / "summary.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "argv,flag",
-    [
-        pytest.param(["train", "--preset", "smoke", "--detector", "mix"], "--detector", id="train_detector"),
-        pytest.param(["attack", "--preset", "smoke", "--mode", "rmd"], "--mode", id="attack_mode"),
-    ],
-)
-def test_cli_preset_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
-    out = tmp_path / "x"
-    assert main(argv + ["--out", str(out)]) == 1
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_preset_rejects_config_keys_it_would_override(tmp_path, capsys):
     cfg = tmp_path / "f.cfg"
     cfg.write_text("detector.kind = mix\noptimizer.kind = adamax\n")
@@ -293,22 +287,37 @@ def test_cli_unknown_preset_rejected():
     assert main(["train", "--preset", "nope", "--out", "/tmp/x"]) == 1
 
 
-def test_cli_attack_forces_mode(tmp_path):
+def test_cli_attack_mode_from_config(tmp_path):
     out = tmp_path / "atk"
     cfg = _cfg_file(tmp_path, "attack.m = 2\nattack.mode = rmd\n")
-    assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     rows = csvio.read_csv(out / "summary.csv", "summary", 1)
     assert rows[0]["attack_mode"] == "rmd"
 
 
-def test_cli_detector_flag(tmp_path):
+def test_cli_detector_from_config(tmp_path):
     out = tmp_path / "det"
     cfg = _cfg_file(
         tmp_path,
-        "model.hidden = 8,4\nprivacy.epsilon = 60\nprivacy.clip = 0.05\n",
+        "model.hidden = 8,4\nprivacy.epsilon = 60\nprivacy.clip = 0.05\ndetector.kind = norm\n",
     )
-    assert main(["train", "--config", str(cfg), "--detector", "norm", "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "detection.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["attack"], id="attack_subcommand"),
+        pytest.param(["train", "--detector", "norm"], id="detector_flag"),
+    ],
+)
+def test_cli_run_is_described_by_its_config_alone(tmp_path, argv):
+    # the attack and detector come from attack.mode, attack.m and detector.kind only
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "x"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_report(tmp_path, capsys):
@@ -404,6 +413,22 @@ def test_cli_rdp_train_rejects_empty_tables(tmp_path, capsys):
     out = tmp_path / "agent"
     assert main(["rdp-train", "--tables", str(path), "--out", str(out)]) == 1
     assert f"{path}: loss tables have no grid points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        pytest.param("--gammas", "0.5,abc", id="gammas"),
+        pytest.param("--table-seeds", "1.5", id="table_seeds"),
+    ],
+)
+def test_cli_rdp_tables_rejects_unparsable_lists(tmp_path, capsys, flag, value):
+    cfg = _cfg_file(tmp_path, "attack.mode = mpelm\nattack.m = 1\n")
+    out = tmp_path / "tables"
+    argv = ["rdp-tables", "--config", str(cfg), "--out", str(out), "--gammas", "0.5", "--table-seeds", "0"]
+    assert main(argv + [flag, value]) == 1
+    assert f"usage error: {flag}:" in capsys.readouterr().err
     assert not out.exists()
 
 
