@@ -301,7 +301,7 @@ def _rdp_convergence(workdir) -> tuple[bool, str]:
         for zeta in (0.15, 0.2, 0.5):
             hyper = rdp.RdpHyper(alpha=alpha, zeta=zeta, max_episodes=60_000)
             result = rdp.train(tables, hyper, seed=11)
-            tail = float(np.mean(result.qtable.delta_trace[-window:]))
+            tail = float(np.mean([row["mean_abs_delta_q"] for row in result.trace[-window:]]))
             cum = np.array([row["cumulative_reward"] for row in result.trace[-window:]])
             plateau = float(np.std(cum) / np.mean(cum))
             worst = max(worst, tail)
@@ -311,7 +311,7 @@ def _rdp_convergence(workdir) -> tuple[bool, str]:
     diverged = rdp.train(
         tables, rdp.RdpHyper(alpha=0.001, zeta=1.0, max_episodes=20_000), seed=11
     )
-    z1 = float(np.mean(diverged.qtable.delta_trace[-window:]))
+    z1 = float(np.mean([row["mean_abs_delta_q"] for row in diverged.trace[-window:]]))
     detail = (
         f"worst trailing |dQ| {worst:.2e} (< 1e-3), worst reward tail std/mean "
         f"{worst_plateau:.3%} (< 1%); zeta=1.0 stays at {z1:.2e} (no bound)"
@@ -349,7 +349,7 @@ def _q_exactness(_workdir) -> tuple[bool, str]:
     }
     zeta = 0.9
     hyper = rdp.RdpHyper(alpha=0.5, zeta=zeta, max_episodes=3000)
-    q, _rewards = rdp.fit_tabular(
+    q, _deltas, _rewards = rdp.fit_tabular(
         states, _MdpAction, lambda s, a: nxt[(s, a)], lambda s, a, _s2: rew[(s, a)], hyper, seed=3
     )
 
@@ -361,7 +361,7 @@ def _q_exactness(_workdir) -> tuple[bool, str]:
             for s in states
             for a in _MdpAction
         }
-    err = max(abs(q.get(s, a) - exact[(s, a)]) for s in states for a in _MdpAction)
+    err = max(abs(q[states.index(s), a.value] - exact[(s, a)]) for s in states for a in _MdpAction)
     return err < 1e-6, f"max |Q - Q*| = {err:.2e} (< 1e-6)"
 
 

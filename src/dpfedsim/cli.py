@@ -186,18 +186,20 @@ def _cmd_rdp_train(args) -> int:
     result = rdp.train(tables, hyper, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    m_bins, f_bins = tables.bins
+    cells = sorted((m_bins[i], f_bins[i], i, a.value) for i in range(len(result.values)) for a in rdp.ACTIONS)
     csvio.write_csv(
         out / "qtable.csv", "qtable", SCHEMAS["qtable"],
         ["m_l_bin", "f_l_bin", "eps_index", "action", "q_value"],
         [
             {
-                "m_l_bin": s.m_l_bin,
-                "f_l_bin": s.f_l_bin,
-                "eps_index": s.epsilon_index,
-                "action": a.name.lower(),
-                "q_value": q,
+                "m_l_bin": m,
+                "f_l_bin": f,
+                "eps_index": i,
+                "action": rdp.ACTIONS[j].name.lower(),
+                "q_value": float(result.values[i, j]),
             }
-            for s, a, q in result.qtable.rows()
+            for m, f, i, j in cells
         ],
     )
     csvio.write_csv(

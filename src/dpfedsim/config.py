@@ -135,8 +135,8 @@ class ExperimentConfig:
             raise ConfigError("data.source", f"unknown source {v['data.source']!r}")
         if v["data.source"] in ("csv", "cache") and not v["data.path"]:
             raise ConfigError("data.path", "required when data.source is csv or cache")
-        if v["data.source"] == "synthetic" and v["data.n_samples"] < v["federation.nodes"]:
-            raise ConfigError("data.n_samples", "need at least one sample per node")
+        if v["data.noise_scale"] < 0:
+            raise ConfigError("data.noise_scale", f"must be >= 0, got {v['data.noise_scale']}")
         k, n, m = v["federation.nodes"], v["federation.participants"], v["attack.m"]
         if not 1 <= n <= k:
             raise ConfigError("federation.participants", f"need 1 <= {n} <= federation.nodes ({k})")
@@ -162,9 +162,15 @@ class ExperimentConfig:
         split = v["data.server_split"]
         if not 0.0 <= split < 1.0:
             raise ConfigError("data.server_split", f"need 0 <= {split} < 1")
-        empty_holdout = split == 0.0 or (
-            v["data.source"] == "synthetic" and round(split * v["data.n_samples"]) == 0
-        )
+        # the server holdout is carved off before partitioning, with split_holdout's rounding
+        n_hold = round(split * v["data.n_samples"])
+        if v["data.source"] == "synthetic" and v["data.n_samples"] - n_hold < k:
+            raise ConfigError(
+                "data.n_samples",
+                f"need at least one sample per node after the server holdout of {n_hold}; "
+                f"{v['data.n_samples'] - n_hold} left for {k} nodes",
+            )
+        empty_holdout = split == 0.0 or (v["data.source"] == "synthetic" and n_hold == 0)
         if v["detector.kind"] in ("accuracy", "mix") and empty_holdout:
             raise ConfigError(
                 "data.server_split", f"{v['detector.kind']} detection needs a nonempty server holdout"

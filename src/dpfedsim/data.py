@@ -205,6 +205,8 @@ def synthesize(n_samples: int, seed: int, noise_scale: float = 0.05) -> Dataset:
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if noise_scale < 0:
+        raise ValueError("noise_scale must be >= 0")
     rng = substream(seed, "synthesize")
     x = rng.uniform(0.0, 1.0, size=(n_samples, N_FEATURES))
     y = x @ SYNTH_WEIGHTS + SYNTH_INTERCEPT

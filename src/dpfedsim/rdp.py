@@ -1,11 +1,13 @@
 """Design-phase privacy-level selection via tabular Q-learning.
 
-The agent walks a discrete grid of privacy-loss values. Its state couples
-the grid index with binned attacker and federated losses looked up from
-pre-generated tables; its reward balances attacker loss, federated loss,
-and the privacy level itself. Transitions are deterministic, so the
-learned Q-values converge to the Bellman fixed point and the mean
-absolute Q change per episode is the convergence diagnostic.
+The agent walks a discrete grid of privacy-loss values, and its state is
+the grid index. The binned attacker and federated losses that the state
+couples with the index are functions of it, computed once per loss
+table (``LossTables.bins``) and reported in ``qtable.csv``. The reward
+balances attacker loss, federated loss, and the privacy level itself.
+Transitions are deterministic, so the learned Q-values converge to the
+Bellman fixed point and the mean absolute Q change per episode is the
+convergence diagnostic.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ N_BINS = 10
 # epsilon-greedy exploration decays linearly between these probabilities
 EXPLORE_START = 1.0
 EXPLORE_MIN = 0.05
-
-
-@dataclass(frozen=True)
-class RdpState:
-    m_l_bin: int
-    f_l_bin: int
-    epsilon_index: int
 
 
 @dataclass(frozen=True)
@@ -132,19 +127,13 @@ class LossTables:
         return float(np.max(self.f_l))
 
     @cached_property
-    def _bins(self) -> tuple[list[int], list[int]]:
+    def bins(self) -> tuple[list[int], list[int]]:
         """Every grid point's m_l and f_l bin: the index of its loss among
         the N_BINS-quantile edges of that loss vector."""
         qs = np.linspace(0, 1, N_BINS + 1)[1:-1]
         return tuple(
             np.searchsorted(np.quantile(values, qs), values, side="right").tolist()
             for values in (self.m_l, self.f_l)
-        )
-
-    def state_at(self, epsilon_index: int) -> RdpState:
-        m_bins, f_bins = self._bins
-        return RdpState(
-            m_l_bin=m_bins[epsilon_index], f_l_bin=f_bins[epsilon_index], epsilon_index=epsilon_index
         )
 
 
@@ -161,43 +150,9 @@ def reward(m_l: float, f_l: float, epsilon: float, tables: LossTables, hyper: Rd
     return p1 * tables.m_l_max / m_l + p2 * tables.f_l_max / f_l + p3 / epsilon
 
 
-def step(state: RdpState, action: Action, tables: LossTables) -> RdpState:
-    """Move the privacy level along the grid, clamped at the boundaries."""
-    idx = min(len(tables.epsilon_grid) - 1, max(0, state.epsilon_index + action.offset))
-    return tables.state_at(idx)
-
-
-@dataclass
-class QTable:
-    """Q-values as an (n_states, n_actions) array plus the per-episode mean
-    absolute Q change.
-
-    Actions are held in ascending ordinal order, so np.argmax over a row
-    breaks ties toward the lowest ordinal.
-    """
-
-    states: list
-    actions: list
-    values: np.ndarray
-    delta_trace: list[float] = field(default_factory=list)
-
-    def _row(self, state) -> np.ndarray:
-        return self.values[self.states.index(state)]
-
-    def get(self, state, action) -> float:
-        return float(self._row(state)[self.actions.index(action)])
-
-    def argmax_action(self, state):
-        return self.actions[int(np.argmax(self._row(state)))]
-
-    def rows(self):
-        """(state, action, q) rows in deterministic order for persistence."""
-        cells = [
-            (s, a, float(q))
-            for s, row in zip(self.states, self.values)
-            for a, q in zip(self.actions, row)
-        ]
-        return sorted(cells, key=lambda c: (c[0].m_l_bin, c[0].f_l_bin, c[0].epsilon_index, c[1].value))
+def step(index: int, action: Action, n: int) -> int:
+    """Move the privacy level along a grid of n points, clamped at the boundaries."""
+    return min(n - 1, max(0, index + action.offset))
 
 
 def exploration_probability(episode: int, hyper: RdpHyper) -> float:
@@ -215,16 +170,19 @@ def fit_tabular(
     reward_fn: Callable,
     hyper: RdpHyper,
     seed: int,
-) -> tuple[QTable, list[float]]:
+) -> tuple[np.ndarray, list[float], list[float]]:
     """Sweep trainer: each episode takes one epsilon-greedy transition
     from every state (actions must be Enum members so ties are ordered).
 
     Transitions and rewards must be deterministic; they are enumerated
     once into lookup tables so the sweep loop stays cheap. Updates within
-    a sweep are applied sequentially, state by state. Returns the Q-table
-    and the total reward collected per episode. On a deterministic
-    environment the Q-values settle at the Bellman fixed point and the
-    delta trace decays toward zero.
+    a sweep are applied sequentially, state by state. Returns the
+    (n_states, n_actions) Q-values, rows in the given state order and
+    columns in ascending action ordinal (so np.argmax over a row breaks
+    ties toward the lowest ordinal), the mean absolute Q change per
+    episode, and the total reward collected per episode. On a
+    deterministic environment the Q-values settle at the Bellman fixed
+    point and the delta trace decays toward zero.
     """
     rng = substream(seed, "rdp-train")
     states = list(states)
@@ -289,14 +247,13 @@ def fit_tabular(
         delta_trace.append(mean_delta)
         episode_rewards.append(ep_reward)
     # the trace values stay np.float64, the type the array sweep produced
-    q = QTable(states, actions, np.array(qvals), list(np.array(delta_trace)))
-    return q, list(np.array(episode_rewards))
+    return np.array(qvals), list(np.array(delta_trace)), list(np.array(episode_rewards))
 
 
 @dataclass
 class TrainResult:
-    qtable: QTable
-    policy: dict[RdpState, Action]
+    values: np.ndarray  # (grid points, actions), columns in ascending ordinal
+    policy: list[Action]  # greedy action per grid index
     epsilon_star: float
     trace: list[dict]
 
@@ -304,7 +261,7 @@ class TrainResult:
 def train(tables: LossTables, hyper: RdpHyper, seed: int) -> TrainResult:
     """Train the privacy-level agent on the loss tables.
 
-    Returns the Q-table, the greedy policy, and the privacy loss reached
+    Returns the Q-values, the greedy policy, and the privacy loss reached
     by following the greedy policy to a fixed point from the middle of
     the grid. The trace carries the running cumulative reward, the mean
     absolute Q change, and the exploration probability per episode.
@@ -317,22 +274,20 @@ def train(tables: LossTables, hyper: RdpHyper, seed: int) -> TrainResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    states = [tables.state_at(i) for i in range(len(tables.epsilon_grid))]
+    grid = tables.epsilon_grid
+    n = len(grid)
 
-    def transition(s, a):
-        return step(s, a, tables)
+    def transition(i, a):
+        return step(i, a, n)
 
-    def reward_fn(_s, _a, s2):
-        idx = s2.epsilon_index
-        return reward(
-            float(tables.m_l[idx]), float(tables.f_l[idx]), tables.epsilon_grid[idx], tables, hyper
-        )
+    def reward_fn(_i, _a, i2):
+        return reward(float(tables.m_l[i2]), float(tables.f_l[i2]), grid[i2], tables, hyper)
 
-    q, episode_rewards = fit_tabular(states, ACTIONS, transition, reward_fn, hyper, seed)
+    values, delta_trace, episode_rewards = fit_tabular(range(n), ACTIONS, transition, reward_fn, hyper, seed)
 
     cumulative = 0.0
     trace = []
-    for episode, (ep_reward, mean_delta) in enumerate(zip(episode_rewards, q.delta_trace), start=1):
+    for episode, (ep_reward, mean_delta) in enumerate(zip(episode_rewards, delta_trace), start=1):
         cumulative += ep_reward
         trace.append(
             {
@@ -343,27 +298,26 @@ def train(tables: LossTables, hyper: RdpHyper, seed: int) -> TrainResult:
             }
         )
 
-    policy = {s: q.argmax_action(s) for s in states}
-    epsilon_star = _greedy_fixed_point(tables, policy)
-    return TrainResult(qtable=q, policy=policy, epsilon_star=epsilon_star, trace=trace)
+    policy = [ACTIONS[j] for j in np.argmax(values, axis=1)]
+    epsilon_star = _greedy_fixed_point(grid, policy)
+    return TrainResult(values=values, policy=policy, epsilon_star=epsilon_star, trace=trace)
 
 
-def _greedy_fixed_point(tables: LossTables, policy: dict[RdpState, Action]) -> float:
+def _greedy_fixed_point(grid: Sequence[float], policy: list[Action]) -> float:
     """Follow the greedy policy from the grid midpoint until the privacy
     level stops changing; a cycle settles on its lowest grid index."""
-    idx = len(tables.epsilon_grid) // 2
+    idx = len(grid) // 2
     seen: list[int] = []
-    for _ in range(4 * len(tables.epsilon_grid)):
-        state = tables.state_at(idx)
-        nxt = step(state, policy[state], tables).epsilon_index
+    for _ in range(4 * len(grid)):
+        nxt = step(idx, policy[idx], len(grid))
         if nxt == idx:
-            return tables.epsilon_grid[idx]
+            return grid[idx]
         if idx in seen:
             cycle = seen[seen.index(idx):]
-            return tables.epsilon_grid[min(cycle)]
+            return grid[min(cycle)]
         seen.append(idx)
         idx = nxt
-    return tables.epsilon_grid[idx]
+    return grid[idx]
 
 
 def generate_loss_tables(

@@ -143,10 +143,10 @@ def test_fit_tabular_steps_exploration_once_per_episode(monkeypatch):
     tables = rdp.LossTables(
         epsilon_grid=(0.5, 1.0, 1.5), m_l=np.array([3.0, 2.0, 1.0]), f_l=np.array([2.0, 1.5, 1.0])
     )
-    states = [tables.state_at(i) for i in range(len(tables.epsilon_grid))]
+    n = len(tables.epsilon_grid)
     hyper = rdp.RdpHyper(alpha=0.5, zeta=0.5, max_episodes=40)
     rdp.fit_tabular(
-        states, rdp.ACTIONS, lambda s, a: rdp.step(s, a, tables), lambda _s, _a, _s2: 1.0, hyper, 0
+        range(n), rdp.ACTIONS, lambda s, a: rdp.step(s, a, n), lambda _s, _a, _s2: 1.0, hyper, 0
     )
     assert episodes == list(range(hyper.max_episodes))
 

@@ -4,7 +4,7 @@ import pytest
 from dpfedsim import csvio, presets
 from dpfedsim.cli import main, parse_file, read_tables, write_tables
 from dpfedsim.config import DEFAULTS, ConfigError, ExperimentConfig, parse_config_text
-from dpfedsim.rdp import LossTables, generate_loss_tables
+from dpfedsim.rdp import ACTIONS, Action, LossTables, RdpHyper, generate_loss_tables, train
 
 
 # config parsing ---------------------------------------------------------
@@ -193,6 +193,12 @@ def test_cli_usage_error_exit_code(tmp_path):
             "detector.kind = mix\ndata.server_split = 0.001", "data.server_split", id="holdout_rounds_to_zero"
         ),
         pytest.param("data.server_split = 1.5", "data.server_split", id="server_split_range"),
+        # the 2% holdout leaves 98 samples for 100 shards
+        pytest.param(
+            "data.n_samples = 100\nfederation.nodes = 100", "data.n_samples: need at least one sample per node",
+            id="holdout_leaves_too_few_samples",
+        ),
+        pytest.param("data.noise_scale = -1", "data.noise_scale: must be >= 0", id="negative_noise_scale"),
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
         pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
         pytest.param("attack.theta = 0", "attack.theta: unknown", id="removed_theta_key"),
@@ -385,6 +391,36 @@ def test_cli_rdp_pipeline(tmp_path):
     assert len(trace) == 200
     qtable = csvio.read_csv(out / "qtable.csv", "qtable", 1)
     assert len(qtable) == 20 * 5  # grid x actions
+
+
+def test_cli_qtable_rows_sorted_by_bins_then_index(tmp_path):
+    # m_l is not monotone in epsilon, so bin order is not index order; two
+    # grid points share both bins, and two share only their m_l bin
+    m_l = [4.0, 2.0, 4.0, 1.0, 2.0, 4.0]
+    f_l = [1.0, 3.0, 1.0, 2.0, 1.0, 2.0]
+    grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    tables = LossTables.from_cells(
+        [{"epsilon": e, "gamma": 1.0, "seed": 0, "m_l": m, "f_l": f} for e, m, f in zip(grid, m_l, f_l)]
+    )
+    path = write_tables(tmp_path / "lt.csv", tables)
+    out = tmp_path / "agent"
+    assert main([
+        "rdp-train", "--tables", str(path), "--out", str(out),
+        "--episodes", "300", "--alpha", "0.1", "--seed", "5",
+    ]) == 0
+
+    rows = csvio.read_csv(out / "qtable.csv", "qtable", 1)
+    keys = [
+        (int(r["m_l_bin"]), int(r["f_l_bin"]), int(r["eps_index"]), Action[r["action"].upper()].value)
+        for r in rows
+    ]
+    assert keys == sorted(keys)
+    assert sorted(keys) == sorted((*b, i, a.value) for i, b in enumerate(zip(*tables.bins)) for a in ACTIONS)
+    assert [k[2] for k in keys] != sorted(k[2] for k in keys)  # a sort by eps_index alone differs
+
+    expected = train(read_tables(path), RdpHyper(alpha=0.1, zeta=0.5, max_episodes=300), seed=5)
+    for r, (_m, _f, i, a) in zip(rows, keys):
+        assert float(r["q_value"]) == expected.values[i, a]
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,11 @@ def test_synthesize_rejects_nonpositive():
         synthesize(0, seed=1)
 
 
+def test_synthesize_rejects_negative_noise_scale():
+    with pytest.raises(ValueError, match="noise_scale"):
+        synthesize(10, seed=1, noise_scale=-1.0)
+
+
 def test_partition_even_split():
     shards = partition(synthesize(100, seed=0), 10, seed=5)
     assert len(shards) == 10

@@ -6,9 +6,7 @@ from dpfedsim.rdp import (
     ACTIONS,
     Action,
     LossTables,
-    QTable,
     RdpHyper,
-    RdpState,
     default_epsilon_grid,
     exploration_probability,
     fit_tabular,
@@ -69,73 +67,65 @@ def test_reward_rejects_nonpositive():
 # state stepping -----------------------------------------------------------
 
 def test_step_static_identity():
-    t = _tables()
-    s = t.state_at(5)
-    assert step(s, Action.STATIC, t) == s
+    n = len(default_epsilon_grid())
+    assert step(5, Action.STATIC, n) == 5
 
 
 def test_step_clamps_at_boundaries():
-    t = _tables()
-    top = t.state_at(len(t.epsilon_grid) - 1)
-    assert step(top, Action.INC2, t).epsilon_index == len(t.epsilon_grid) - 1
-    bottom = t.state_at(0)
-    assert step(bottom, Action.DEC2, t).epsilon_index == 0
+    n = len(default_epsilon_grid())
+    assert step(n - 1, Action.INC2, n) == n - 1
+    assert step(0, Action.DEC2, n) == 0
 
 
 def test_step_moves_and_rebins():
-    t = _tables()
-    s = t.state_at(5)
-    down = step(s, Action.DEC1, t)
-    assert down.epsilon_index == 4
-    assert down == t.state_at(4)  # bins re-looked-up
+    n = len(default_epsilon_grid())
+    assert step(5, Action.DEC1, n) == 4
 
 
 def test_step_inverse_returns_except_at_boundary():
-    t = _tables()
-    for idx in range(1, len(t.epsilon_grid) - 1):
-        s = t.state_at(idx)
-        assert step(step(s, Action.INC1, t), Action.DEC1, t) == s
+    n = len(default_epsilon_grid())
+    for idx in range(1, n - 1):
+        assert step(step(idx, Action.INC1, n), Action.DEC1, n) == idx
 
 
 # q updates -----------------------------------------------------------------
 
 def _one_state_fit(r: float, episodes: int, **hyper):
     """fit_tabular on one state whose one action earns r and loops back."""
-    s = RdpState(0, 0, 0)
     return fit_tabular(
-        [s], [Action.STATIC], lambda state, _a: state, lambda _s, _a, _s2: r,
+        [0], [Action.STATIC], lambda state, _a: state, lambda _s, _a, _s2: r,
         _hyper(max_episodes=episodes, **hyper), seed=0,
     )
 
 
 def test_q_update_full_rate_no_discount():
-    q, rewards = _one_state_fit(2.0, 1, alpha=1.0, zeta=0.0)
-    assert q.get(RdpState(0, 0, 0), Action.STATIC) == 2.0
-    assert q.delta_trace == [2.0] and rewards == [2.0]
+    q, deltas, rewards = _one_state_fit(2.0, 1, alpha=1.0, zeta=0.0)
+    assert q[0, Action.STATIC.value] == 2.0
+    assert deltas == [2.0] and rewards == [2.0]
 
 
 def test_q_update_zero_rate_keeps_value():
     # alpha must be > 0 per the hyper contract; emulate alpha -> 0 with a tiny rate
     with pytest.raises(ValueError):
         _hyper(alpha=0.0)
-    q, _rewards = _one_state_fit(5.0, 1, alpha=1e-12, zeta=0.0)
-    assert q.delta_trace[0] == pytest.approx(5e-12)
+    _q, deltas, _rewards = _one_state_fit(5.0, 1, alpha=1e-12, zeta=0.0)
+    assert deltas[0] == pytest.approx(5e-12)
 
 
 def test_q_update_arithmetic_fixture():
     # Q1 = 0.5*0 + 0.5*(2 + 0.5*0) = 1; Q2 = 0.5*1 + 0.5*(2 + 0.5*1) = 1.75
-    q, _rewards = _one_state_fit(2.0, 2, alpha=0.5, zeta=0.5)
-    assert q.delta_trace == [1.0, 0.75]
-    assert q.get(RdpState(0, 0, 0), Action.STATIC) == 1.75
+    q, deltas, _rewards = _one_state_fit(2.0, 2, alpha=0.5, zeta=0.5)
+    assert deltas == [1.0, 0.75]
+    assert q[0, Action.STATIC.value] == 1.75
 
 
 def test_argmax_tie_breaks_to_lowest_ordinal():
-    s = RdpState(0, 0, 0)
-    q = QTable([s], list(ACTIONS), np.zeros((1, len(ACTIONS))))
-    assert q.argmax_action(s) == Action.STATIC  # all zeros
-    q.values[0, Action.INC2.value] = 1.0
-    q.values[0, Action.DEC1.value] = 1.0
-    assert q.argmax_action(s) == Action.DEC1
+    # alpha = 1 and zeta = 0 make every visited Q value exactly the
+    # reward, which is the same for every move: each row is a five-way tie
+    t = _tables(m=[3.0, 3.0, 3.0], f=[2.0, 2.0, 2.0], grid=(0.5, 1.0, 1.5))
+    result = train(t, _hyper(alpha=1.0, zeta=0.0, max_episodes=200, psi=(1.0, 1.0, 0.0)), seed=0)
+    assert np.all(result.values == 2.0)
+    assert result.policy == [Action.STATIC] * 3
 
 
 # the sweep against its numpy form ---------------------------------------------
@@ -187,7 +177,7 @@ def _numpy_sweep(states, actions, transition, reward_fn, hyper, seed):
 def test_sweep_equals_numpy_sweep(mdp_seed, alpha, zeta):
     gen = np.random.default_rng(mdp_seed)
     n_s, n_a = 7, len(ACTIONS)
-    states = [RdpState(0, 0, i) for i in range(n_s)]
+    states = list(range(n_s))
     next_idx = gen.integers(n_s, size=(n_s, n_a))
     next_idx[:, Action.STATIC.value] = np.arange(n_s)  # self-loops
     # small integer rewards of both signs, so Q values tie and fall
@@ -200,21 +190,21 @@ def test_sweep_equals_numpy_sweep(mdp_seed, alpha, zeta):
     rewards[1] = -gen.integers(1, 4, size=n_a)
 
     def transition(s, a):
-        return states[next_idx[s.epsilon_index, a.value]]
+        return states[next_idx[s, a.value]]
 
     def reward_fn(s, a, _s2):
-        return float(rewards[s.epsilon_index, a.value])
+        return float(rewards[s, a.value])
 
     hyper = RdpHyper(alpha=alpha, zeta=zeta, max_episodes=400)
-    q, episode_rewards = fit_tabular(states, ACTIONS, transition, reward_fn, hyper, seed=mdp_seed)
+    q, q_deltas, episode_rewards = fit_tabular(states, ACTIONS, transition, reward_fn, hyper, seed=mdp_seed)
     values, deltas, oracle_rewards, tied_greedy, lowered_max = _numpy_sweep(
         states, ACTIONS, transition, reward_fn, hyper, seed=mdp_seed
     )
 
     assert tied_greedy > 0 and lowered_max > 0
-    assert np.array_equal(q.values, values)
+    assert np.array_equal(q, values)
     # repr pins the element type (np.float64) along with the value
-    assert [repr(v) for v in q.delta_trace] == [repr(v) for v in deltas]
+    assert [repr(v) for v in q_deltas] == [repr(v) for v in deltas]
     assert [repr(v) for v in episode_rewards] == [repr(v) for v in oracle_rewards]
 
 
@@ -225,8 +215,8 @@ def test_constant_reward_fixed_point():
     hyper = _hyper(alpha=0.5, zeta=0.0, max_episodes=1500, psi=(1.0, 1.0, 0.0))
     result = train(t, hyper, seed=0)
     # reward is 2.0 everywhere; all Q values converge there
-    assert result.qtable.values == pytest.approx(np.full((2, len(ACTIONS)), 2.0), abs=1e-6)
-    assert np.mean(result.qtable.delta_trace[-20:]) < 1e-6
+    assert result.values == pytest.approx(np.full((2, len(ACTIONS)), 2.0), abs=1e-6)
+    assert np.mean([row["mean_abs_delta_q"] for row in result.trace[-20:]]) < 1e-6
 
 
 def test_dominant_epsilon_attracts_policy():
@@ -237,15 +227,14 @@ def test_dominant_epsilon_attracts_policy():
     result = train(t, hyper, seed=1)
 
     # exhaustive value-iteration oracle over the 2-state mdp
-    states = [t.state_at(0), t.state_at(1)]
+    states = [0, 1]
     rew = {}
     nxt = {}
     for s in states:
         for a in ACTIONS:
-            s2 = step(s, a, t)
+            s2 = step(s, a, len(grid))
             nxt[(s, a)] = s2
-            rew[(s, a)] = reward(float(t.m_l[s2.epsilon_index]), float(t.f_l[s2.epsilon_index]),
-                                 grid[s2.epsilon_index], t, hyper)
+            rew[(s, a)] = reward(float(t.m_l[s2]), float(t.f_l[s2]), grid[s2], t, hyper)
     exact = {k: 0.0 for k in rew}
     for _ in range(500):
         exact = {
@@ -253,7 +242,7 @@ def test_dominant_epsilon_attracts_policy():
             for (s, a) in rew
         }
     for (s, a), value in exact.items():
-        assert result.qtable.get(s, a) == pytest.approx(value, abs=1e-6)
+        assert result.values[s, a.value] == pytest.approx(value, abs=1e-6)
     # greedy policy moves to and holds the dominant point
     assert result.policy[states[0]].offset == 1
     assert result.policy[states[1]] == Action.STATIC
@@ -264,7 +253,7 @@ def test_train_deterministic():
     t = _tables()
     a = train(t, _hyper(max_episodes=60), seed=9)
     b = train(t, _hyper(max_episodes=60), seed=9)
-    assert np.array_equal(a.qtable.values, b.qtable.values)
+    assert np.array_equal(a.values, b.values)
     assert a.epsilon_star == b.epsilon_star
     assert a.trace == b.trace
 
@@ -282,16 +271,16 @@ def test_reward_scaling_leaves_policy_invariant():
     t = _tables()
     base = train(t, _hyper(alpha=0.8, zeta=0.4, max_episodes=800, psi=(1 / 3, 1 / 3, 1 / 3)), seed=4)
     scaled = train(t, _hyper(alpha=0.8, zeta=0.4, max_episodes=800, psi=(2.0, 2.0, 2.0)), seed=4)
-    for s in (t.state_at(i) for i in range(len(t.epsilon_grid))):
-        assert base.policy[s] == scaled.policy[s]
-    assert scaled.qtable.values == pytest.approx(6.0 * base.qtable.values, rel=1e-9)
+    for i in range(len(t.epsilon_grid)):
+        assert base.policy[i] == scaled.policy[i]
+    assert scaled.values == pytest.approx(6.0 * base.values, rel=1e-9)
 
 
 def test_zeta_one_permitted_but_not_convergent():
     t = _tables()
     with pytest.warns(RuntimeWarning, match="discount factor 1.0"):
         result = train(t, _hyper(alpha=0.01, zeta=1.0, max_episodes=2000), seed=2)
-    assert np.mean(result.qtable.delta_trace[-100:]) > 1e-3
+    assert np.mean([row["mean_abs_delta_q"] for row in result.trace[-100:]]) > 1e-3
 
 
 def test_nonfinite_rewards_rejected():
@@ -300,9 +289,9 @@ def test_nonfinite_rewards_rejected():
     def bad_reward(_s, _a, _s2):
         return float("inf")
 
-    states = [t.state_at(i) for i in range(len(t.epsilon_grid))]
+    n = len(t.epsilon_grid)
     with pytest.raises(ArithmeticError):
-        fit_tabular(states, ACTIONS, lambda s, a: step(s, a, t), bad_reward, _hyper(), seed=0)
+        fit_tabular(range(n), ACTIONS, lambda s, a: step(s, a, n), bad_reward, _hyper(), seed=0)
 
 
 # loss tables ---------------------------------------------------------------
@@ -361,16 +350,16 @@ def test_binning_matches_per_value_lookup():
     f = rng.uniform(0.5, 3.0, size=20)
     t = _tables(m=m, f=f)
     qs = np.linspace(0, 1, rdp.N_BINS + 1)[1:-1]
+    m_bins, f_bins = t.bins
     for i in range(len(t.epsilon_grid)):
-        assert t.state_at(i) == RdpState(
+        assert (m_bins[i], f_bins[i]) == (
             int(np.searchsorted(np.quantile(m, qs), m[i], side="right")),
             int(np.searchsorted(np.quantile(f, qs), f[i], side="right")),
-            i,
         )
 
 
 def test_binning_deterministic_order():
     t = _tables()
-    bins = [t.state_at(i).f_l_bin for i in range(len(t.epsilon_grid))]
+    bins = t.bins[1]
     assert bins == sorted(bins, reverse=True)  # f_l decreasing -> bins nonincreasing
     assert min(bins) >= 0 and max(bins) < rdp.N_BINS
