@@ -465,7 +465,7 @@ def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, lis
                 expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i, episode=t)
             else:
                 raw = local_train(
-                    state.arch, params, state.shards[i], cfg.optimizer,
+                    cfg.arch, params, state.shards[i], cfg.optimizer,
                     substream_seed(seed, "train", t, i), node_id=i, episode=t,
                 )
                 clipped, noise_rng = clip(raw, spec.clip_c), substream(seed, "noise", t, i)

@@ -142,7 +142,7 @@ def gamma_for_episode(state) -> dict:
     else:
         trace = state.attack_trace
         shards = [state.shards[i] for i in sorted(cfg.compromised)]
-        current = episodic_loss(state.arch, state.global_params, shards)
+        current = episodic_loss(state.cfg.arch, state.global_params, shards)
         gamma_episode, gamma_current, ratio = tune_poison_degree(
             [row["avg_compromised_val_loss"] for row in trace],
             trace[-1]["gamma_current"] if trace else cfg.gamma0,

@@ -8,10 +8,13 @@ failures name the offending field path (usage errors, CLI exit code 1).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .adversary import AttackConfig
+from .data import shard_sizes
 from .detection import DetectorConfig
 from .federation import FederationConfig
 from .model import Architecture, OptimizerConfig
@@ -88,6 +91,15 @@ def _coerce(key: str, raw, default) -> object:
     return value
 
 
+@contextlib.contextmanager
+def _section(path: str):
+    """Raise a ValueError from building one typed section as a ConfigError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; later keys override earlier ones."""
     values: dict[str, str] = {}
@@ -135,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("data.source", f"unknown source {v['data.source']!r}")
         if v["data.source"] in ("csv", "cache") and not v["data.path"]:
             raise ConfigError("data.path", "required when data.source is csv or cache")
+        if v["data.source"] in ("csv", "cache") and not Path(v["data.path"]).is_file():
+            raise ConfigError("data.path", f"no such file {v['data.path']!r}")
         if v["data.noise_scale"] < 0:
             raise ConfigError("data.noise_scale", f"must be >= 0, got {v['data.noise_scale']}")
         k, n, m = v["federation.nodes"], v["federation.participants"], v["attack.m"]
@@ -164,87 +178,75 @@ class ExperimentConfig:
             raise ConfigError("data.server_split", f"need 0 <= {split} < 1")
         # the server holdout is carved off before partitioning, with split_holdout's rounding
         n_hold = round(split * v["data.n_samples"])
-        if v["data.source"] == "synthetic" and v["data.n_samples"] - n_hold < k:
-            raise ConfigError(
-                "data.n_samples",
-                f"need at least one sample per node after the server holdout of {n_hold}; "
-                f"{v['data.n_samples'] - n_hold} left for {k} nodes",
-            )
+        left = v["data.n_samples"] - n_hold
+        if v["data.source"] == "synthetic":
+            if left < k:
+                raise ConfigError(
+                    "data.n_samples",
+                    f"need at least one sample per node after the server holdout of {n_hold}; "
+                    f"{left} left for {k} nodes",
+                )
+            validation_rows = [rows for _train, rows in shard_sizes(left, k)]
+            if not any(validation_rows):
+                raise ConfigError("data.n_samples", f"{left} samples for {k} nodes leave every validation split empty")
+            # only the adaptive controller reads the compromised nodes' splits
+            if v["attack.mode"] == "mpelm" and v["attack.gamma_fixed"] == "" and not all(validation_rows[:m]):
+                raise ConfigError(
+                    "attack.m",
+                    f"the adaptive attacker reads compromised node {validation_rows.index(0)}'s validation split, "
+                    "which is empty",
+                )
         empty_holdout = split == 0.0 or (v["data.source"] == "synthetic" and n_hold == 0)
         if v["detector.kind"] in ("accuracy", "mix") and empty_holdout:
             raise ConfigError(
                 "data.server_split", f"{v['detector.kind']} detection needs a nonempty server holdout"
             )
-        try:
-            self.architecture()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("model.hidden", str(exc)) from exc
-        for key, build in (
-            ("privacy", self.privacy_spec),
-            ("optimizer", self.optimizer_config),
-            ("detector", self.detector_config),
-            ("attack", self.attack_config),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(key, str(exc)) from exc
-
-    # Typed views over the flat mapping
-
-    def architecture(self) -> Architecture:
-        hidden = tuple(int(h) for h in str(self.values["model.hidden"]).split(",") if h.strip())
-        if len(hidden) != 2 or any(h < 1 for h in hidden):
-            raise ValueError(f"model.hidden must be two positive widths, got {self.values['model.hidden']!r}")
-        return Architecture(hidden=hidden)
-
-    def privacy_spec(self) -> PrivacySpec:
-        return PrivacySpec(
-            epsilon=self.values["privacy.epsilon"],
-            delta=self.values["privacy.delta"],
-            clip_c=self.values["privacy.clip"],
-        )
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=self.values["optimizer.kind"],
-            learning_rate=self.values["optimizer.learning_rate"],
-            batch_size=self.values["optimizer.batch_size"],
-            local_steps=self.values["optimizer.local_steps"],
-            early_stop=self.values["optimizer.early_stop"],
-            patience=self.values["optimizer.patience"],
-        )
+        self.federation_config()
 
     def federation_config(self) -> FederationConfig:
+        """The run as typed values, model included: the one translation from
+        the flat keys. A section's ValueError is raised as a ConfigError
+        naming that section."""
+        v = self.resolved()
+        with _section("model.hidden"):
+            hidden = tuple(int(h) for h in str(v["model.hidden"]).split(",") if h.strip())
+            if len(hidden) != 2 or any(h < 1 for h in hidden):
+                raise ValueError(f"model.hidden must be two positive widths, got {v['model.hidden']!r}")
+            arch = Architecture(hidden=hidden)
+        with _section("privacy"):
+            privacy = PrivacySpec(epsilon=v["privacy.epsilon"], delta=v["privacy.delta"], clip_c=v["privacy.clip"])
+        with _section("optimizer"):
+            optimizer = OptimizerConfig(
+                kind=v["optimizer.kind"],
+                learning_rate=v["optimizer.learning_rate"],
+                batch_size=v["optimizer.batch_size"],
+                local_steps=v["optimizer.local_steps"],
+                early_stop=v["optimizer.early_stop"],
+                patience=v["optimizer.patience"],
+            )
+        with _section("detector"):
+            detector = DetectorConfig(
+                kind=v["detector.kind"], beta1=v["detector.beta1"], beta2=v["detector.beta2"], d_max=v["detector.d_max"]
+            )
+        with _section("attack"):
+            attack = AttackConfig(
+                kind=v["attack.mode"],
+                compromised=frozenset(range(v["attack.m"])),
+                rho=v["attack.rho"],
+                gamma0=v["attack.gamma0"],
+                r_hi=v["attack.r_hi"],
+                r_lo=v["attack.r_lo"],
+                gamma_fixed=None if v["attack.gamma_fixed"] == "" else v["attack.gamma_fixed"],
+            )
         return FederationConfig(
-            k=self.values["federation.nodes"],
-            n=self.values["federation.participants"],
-            episodes=self.values["federation.episodes"],
-            seed=self.values["seed"],
-            privacy=self.privacy_spec(),
-            optimizer=self.optimizer_config(),
-            stop_threshold=self.values["privacy.stop_threshold"],
-            attack=self.attack_config(),
-            detector=self.detector_config(),
-        )
-
-    def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            kind=self.values["detector.kind"],
-            beta1=self.values["detector.beta1"],
-            beta2=self.values["detector.beta2"],
-            d_max=self.values["detector.d_max"],
-        )
-
-    def attack_config(self) -> AttackConfig:
-        gamma0 = self.values["attack.gamma0"]
-        gamma_fixed = self.values["attack.gamma_fixed"]
-        return AttackConfig(
-            kind=self.values["attack.mode"],
-            compromised=frozenset(range(self.values["attack.m"])),
-            rho=self.values["attack.rho"],
-            gamma0=self.values["privacy.epsilon"] if gamma0 == "" else gamma0,
-            r_hi=self.values["attack.r_hi"],
-            r_lo=self.values["attack.r_lo"],
-            gamma_fixed=None if gamma_fixed == "" else gamma_fixed,
+            k=v["federation.nodes"],
+            n=v["federation.participants"],
+            episodes=v["federation.episodes"],
+            seed=v["seed"],
+            arch=arch,
+            privacy=privacy,
+            optimizer=optimizer,
+            stop_threshold=v["privacy.stop_threshold"],
+            attack=attack,
+            detector=detector,
         )

@@ -215,13 +215,22 @@ def synthesize(n_samples: int, seed: int, noise_scale: float = 0.05) -> Dataset:
     return Dataset(x, np.clip(y, 0.0, 1.0))
 
 
-def partition(data: Dataset, k: int, seed: int) -> list[NodeShard]:
-    """Split data IID across ``k`` nodes into near-equal shards.
+def shard_sizes(n_samples: int, k: int) -> list[tuple[int, int]]:
+    """(train rows, validation rows) of each of the ``k`` shards that
+    ``partition`` cuts from ``n_samples`` samples, in node-id order.
 
-    Shard sizes differ by at most one (the first ``len(data) % k`` shards
+    Shard sizes differ by at most one (the first ``n_samples % k`` shards
     take the extra sample). Within each shard, round(20%) of the samples
     are held out as the node's validation split.
     """
+    base, extra = divmod(n_samples, k)
+    sizes = [base + (node_id < extra) for node_id in range(k)]
+    return [(size - round(VALIDATION_FRACTION * size), round(VALIDATION_FRACTION * size)) for size in sizes]
+
+
+def partition(data: Dataset, k: int, seed: int) -> list[NodeShard]:
+    """Split data IID across ``k`` nodes into near-equal shards, sized by
+    ``shard_sizes``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(data) < k:
@@ -229,15 +238,12 @@ def partition(data: Dataset, k: int, seed: int) -> list[NodeShard]:
 
     rng = substream(seed, "partition")
     order = rng.permutation(len(data))
-    base, extra = divmod(len(data), k)
 
     shards = []
     start = 0
-    for node_id in range(k):
-        size = base + (1 if node_id < extra else 0)
-        idx = order[start:start + size]
-        start += size
-        n_train = size - round(VALIDATION_FRACTION * size)
+    for node_id, (n_train, n_val) in enumerate(shard_sizes(len(data), k)):
+        idx = order[start:start + n_train + n_val]
+        start += n_train + n_val
         shards.append(
             NodeShard(node_id=node_id, train=data.take(idx[:n_train]), validation=data.take(idx[n_train:]))
         )

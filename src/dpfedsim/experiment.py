@@ -62,7 +62,7 @@ def prepare_state(cfg: ExperimentConfig) -> FederationState:
     holdout, rest = split_holdout(data, cfg["data.server_split"], cfg["seed"])
     shards = partition(rest, cfg["federation.nodes"], cfg["seed"])
     server_validation = (holdout.x, holdout.y) if len(holdout) else None
-    return FederationState.create(cfg.federation_config(), shards, cfg.architecture(), server_validation)
+    return FederationState.create(cfg.federation_config(), shards, server_validation)
 
 
 def run_training(state: FederationState) -> tuple[list[RoundRecord], str]:

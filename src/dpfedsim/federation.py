@@ -48,6 +48,7 @@ class FederationConfig:
     stop_threshold: float = 0.01
     attack: adv.AttackConfig = adv.AttackConfig()
     detector: det.DetectorConfig = det.DetectorConfig()
+    arch: Architecture = Architecture()
 
     def __post_init__(self):
         if not 1 <= self.n <= self.k:
@@ -92,7 +93,6 @@ class FederationState:
     with the run's configuration."""
 
     cfg: FederationConfig
-    arch: Architecture
     shards: list[NodeShard]
     global_params: np.ndarray
     ledger: PrivacyLedger
@@ -103,20 +103,12 @@ class FederationState:
     attack_trace: list[dict] = field(default_factory=list)
 
     @classmethod
-    def create(
-        cls,
-        cfg: FederationConfig,
-        shards: Sequence[NodeShard],
-        arch: Architecture = None,
-        server_validation=None,
-    ) -> "FederationState":
+    def create(cls, cfg: FederationConfig, shards: Sequence[NodeShard], server_validation=None) -> "FederationState":
         if cfg.detector.kind in ("accuracy", "mix") and server_validation is None:
             raise ValueError(f"{cfg.detector.kind} detection requires a server validation set")
-        arch = arch or Architecture()
-        params = init_params(arch, substream(cfg.seed, "init"))
+        params = init_params(cfg.arch, substream(cfg.seed, "init"))
         return cls(
             cfg=cfg,
-            arch=arch,
             shards=list(shards),
             global_params=params,
             ledger=PrivacyLedger(stop_threshold=cfg.stop_threshold),
@@ -124,7 +116,7 @@ class FederationState:
         )
 
     def global_validation_loss(self) -> float:
-        return mse_loss(self.arch, self.global_params, pooled_validation(self.shards))
+        return mse_loss(self.cfg.arch, self.global_params, pooled_validation(self.shards))
 
 
 def select_nodes(k: int, n: int, rng: np.random.Generator) -> list[int]:
@@ -189,7 +181,7 @@ def run_episode(state: FederationState) -> RoundRecord:
     rmd = set(active_compromised) if attack.kind == "rmd" else set()
     training = [i for i in selected if i not in rmd]
     trained = train_stack(
-        state.arch,
+        cfg.arch,
         state.global_params,
         [state.shards[i] for i in training],
         cfg.optimizer,
@@ -202,7 +194,7 @@ def run_episode(state: FederationState) -> RoundRecord:
     for i in selected:
         if i in rmd:
             submitted.append(
-                adv.rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), state.arch.n_params,
+                adv.rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), cfg.arch.n_params,
                                node_id=i, episode=t)
             )
         else:
@@ -211,7 +203,7 @@ def run_episode(state: FederationState) -> RoundRecord:
     verdicts = det.evaluate(
         submitted,
         cfg.detector,
-        state.arch,
+        cfg.arch,
         state.global_params,
         state.server_validation,
     )

@@ -148,7 +148,7 @@ def test_loss_list_tracks_step_count():
     # earlier losses and the last gamma_current
     cfg = _cfg()
     shards = partition(synthesize(60, seed=1), 3, seed=1)
-    state = FederationState.create(FederationConfig(k=3, n=3, attack=cfg), shards, Architecture(hidden=(2, 2)))
+    state = FederationState.create(FederationConfig(k=3, n=3, attack=cfg, arch=Architecture(hidden=(2, 2))), shards)
     losses, gamma = [], cfg.gamma0
     for k in range(1, 8):
         state.episode = k

@@ -184,3 +184,19 @@ def test_harness_measures_a_smoke_run(harness, tmp_path):
     layers = tracer.layer_metrics(traced.tracer, traced.wall_s, untraced.wall_s, run.run_ends(traced.outcomes))
     assert all(math.isfinite(v) for v in layers.values())
     assert layers["federation.node_updates"] == 15
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ZeroDivisionError,
+    reason="Calibration.scale and scale_at divide by zero before the first kernel sample",
+)
+def test_calibration_scales_before_its_first_sample(harness):
+    """A Calibration takes its first kernel sample only once
+    NOMINAL_S / BUDGET_SHARE seconds of work have passed, so an operation
+    that ends sooner is scaled from no samples at all. Both factors must
+    still be finite."""
+    _run, _tracer, _workloads, calibration = harness
+    machine = calibration.Calibration()
+    assert not machine.samples
+    assert math.isfinite(machine.scale(0))
+    assert math.isfinite(machine.scale_at(0.0, 1.0))

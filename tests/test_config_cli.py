@@ -59,19 +59,20 @@ def test_gamma0_defaults_to_epsilon():
     cfg = ExperimentConfig.from_dict(
         {"privacy.epsilon": 1.3, "attack.mode": "mpelm", "attack.m": 1}
     )
-    assert cfg.attack_config().gamma0 == 1.3
+    assert cfg.federation_config().attack.gamma0 == 1.3
     cfg = ExperimentConfig.from_dict(
         {"privacy.epsilon": 1.3, "attack.gamma0": 0.4, "attack.mode": "mpelm", "attack.m": 1}
     )
-    assert cfg.attack_config().gamma0 == 0.4
+    assert cfg.federation_config().attack.gamma0 == 0.4
 
 
 def test_typed_views():
     cfg = ExperimentConfig.from_dict({"model.hidden": "4,2", "optimizer.kind": "adamax"})
-    assert cfg.architecture().hidden == (4, 2)
-    assert cfg.optimizer_config().kind == "adamax"
-    assert cfg.federation_config().k == 100
-    assert cfg.detector_config().kind == "off"
+    typed = cfg.federation_config()
+    assert typed.arch.hidden == (4, 2)
+    assert typed.optimizer.kind == "adamax"
+    assert typed.k == 100
+    assert typed.detector.kind == "off"
 
 
 def test_config_file(tmp_path):
@@ -199,6 +200,18 @@ def test_cli_usage_error_exit_code(tmp_path):
             id="holdout_leaves_too_few_samples",
         ),
         pytest.param("data.noise_scale = -1", "data.noise_scale: must be >= 0", id="negative_noise_scale"),
+        pytest.param("data.source = csv\ndata.path = nosuch.csv", "data.path: no such file", id="missing_data_path"),
+        # 2 rows per shard: round(20%) leaves every validation split empty
+        pytest.param(
+            "data.n_samples = 10\nfederation.nodes = 5\nfederation.participants = 3",
+            "data.n_samples: 10 samples for 5 nodes", id="no_validation_rows",
+        ),
+        # shards of 3, 2, 2, 2, 2 rows: the adaptive attacker reads compromised node 1's empty split
+        pytest.param(
+            "data.n_samples = 11\ndata.server_split = 0\nfederation.nodes = 5\nfederation.participants = 3\n"
+            "attack.mode = mpelm\nattack.m = 2",
+            "attack.m: the adaptive attacker reads compromised node 1", id="compromised_node_without_validation_rows",
+        ),
         pytest.param("optimizer.early_stop =", "optimizer.early_stop: empty value", id="empty_value"),
         pytest.param("federation.workers = 4", "federation.workers: unknown", id="removed_workers_key"),
         pytest.param("attack.theta = 0", "attack.theta: unknown", id="removed_theta_key"),

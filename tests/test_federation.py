@@ -37,9 +37,9 @@ def _fed_cfg(**kw):
     return FederationConfig(**defaults)
 
 
-def _state(cfg, n_samples=200, seed=0, arch=None):
+def _state(cfg, n_samples=200, seed=0):
     shards = partition(synthesize(n_samples, seed=seed), cfg.k, seed=seed)
-    return FederationState.create(cfg, shards, arch)
+    return FederationState.create(cfg, shards)
 
 
 # node selection --------------------------------------------------------
