@@ -140,7 +140,7 @@ def _dp_calibration(_workdir) -> tuple[bool, str]:
     rng = substream(42, "noise-moments")
     n = 10**5
     draws = np.empty(n)
-    base = ModelUpdate(delta=np.zeros(1), node_id=0, episode=0)
+    base = ModelUpdate(delta=np.zeros(1), node_id=0)
     for i in range(n):
         draws[i] = add_noise(base, spec, rng).delta[0]
     std = spec.noise_std
@@ -368,10 +368,7 @@ def _q_exactness(_workdir) -> tuple[bool, str]:
 # 11 ----------------------------------------------------------------
 
 def _vec_updates(rows) -> list[ModelUpdate]:
-    return [
-        ModelUpdate(delta=np.array(r, dtype=np.float64), node_id=i, episode=1)
-        for i, r in enumerate(rows)
-    ]
+    return [ModelUpdate(delta=np.array(r, dtype=np.float64), node_id=i) for i, r in enumerate(rows)]
 
 
 @criterion(11, "detector fixtures reproduce exactly; mix equals the union")
@@ -381,14 +378,14 @@ def _detector_oracles(_workdir) -> tuple[bool, str]:
 
     updates = _vec_updates([(1, 0), (1, 0), (1, 0), (3, 0)])
     v = norm_rate(updates[3], comparison_standard(updates)[3], cfg)
-    checks.append(v.components["e1"] == 4.0 and v.rate == 0.0 and v.flagged)
+    checks.append(v.e1 == 4.0 and v.rate == 0.0 and v.flagged)
 
     same = _vec_updates([(0.5, 1.0)] * 4)
     checks.append(all(not norm_rate(u, st, cfg).flagged for u, st in zip(same, comparison_standard(same))))
 
     boundary = _vec_updates([(1, 0), (1, 0), (1, 0), (2, 0)])
     v = norm_rate(boundary[3], comparison_standard(boundary)[3], cfg)
-    checks.append(v.components["e1"] == 1.0 and v.rate == 1.0 and not v.flagged)
+    checks.append(v.e1 == 1.0 and v.rate == 1.0 and not v.flagged)
 
     rate, e2 = loss_test_rate(2.0, 1.0, DetectorConfig(kind="accuracy"))
     checks.append(e2 == 0.5 and rate == 0.5)
@@ -448,7 +445,7 @@ def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, lis
     local_train, then clip and noise (inject for compromised nodes, with
     the episode's degree from the run's attack trace), or the rmd draw.
     A mismatch is an (episode, node) pair whose delta differs in any bit
-    from the run's, or whose episode or step count differs.
+    from the run's, or whose step count differs.
     """
     params = state.global_params.copy()
     records, status = run_training(state)
@@ -462,7 +459,7 @@ def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, lis
             i = update.node_id
             compromised = i in rec.active_compromised
             if compromised and cfg.attack.kind == "rmd":
-                expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i, episode=t)
+                expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i)
             else:
                 raw = local_train(
                     cfg.arch, params, state.shards[i], cfg.optimizer,
@@ -473,10 +470,7 @@ def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, lis
                     expected = add_noise(clipped, spec, noise_rng)
                 else:
                     expected = inject(clipped, spec, gamma[t], noise_rng)
-            if not (
-                np.array_equal(expected.delta, update.delta)
-                and (expected.episode, expected.steps) == (update.episode, update.steps)
-            ):
+            if not (np.array_equal(expected.delta, update.delta) and expected.steps == update.steps):
                 mismatches.append((t, i))
         params = rec.global_params_after
     return records, status, mismatches

@@ -163,7 +163,6 @@ def rmd_update(
     rng: np.random.Generator,
     n_params: int,
     node_id: int = -1,
-    episode: int = 0,
 ) -> ModelUpdate:
     """Random-update baseline: a uniform direction scaled to the clipping
     threshold, submitted with benign DP noise on top."""
@@ -174,4 +173,4 @@ def rmd_update(
         norm = float(np.linalg.norm(direction))
     delta = direction * (spec.clip_c / norm)
     noisy = delta + spec.noise_std * rng.standard_normal(n_params)
-    return ModelUpdate(delta=noisy, node_id=node_id, episode=episode)
+    return ModelUpdate(delta=noisy, node_id=node_id)

@@ -33,19 +33,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse types: a bad value is a usage error naming its flag or argument,
+# raised before any command runs.
+def _existing(kind: str):
+    def check(text: str) -> str:
+        if not (Path(text).is_file() if kind == "file" else Path(text).is_dir()):
+            raise argparse.ArgumentTypeError(f"no such {kind} {text}")
+        return text
+
+    return check
+
+
+def _criteria(text: str) -> set[int]:
+    from .acceptance import CRITERIA
+
+    known = {number for number, _title, _fn in CRITERIA}
+    entries = [item.strip() for item in text.split(",") if item.strip()]
+    bad = [item for item in entries if not (item.isdigit() and int(item) in known)]
+    if bad or not entries:
+        raise argparse.ArgumentTypeError(
+            f"not a criterion number: {', '.join(bad) or '(none given)'} (criteria are 1 to {len(known)})"
+        )
+    return {int(item) for item in entries}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dpfedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_preset=True):
-        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--config", type=_existing("file"), help="key = value config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="runs", help="output directory")
         if with_preset:
             p.add_argument("--preset", choices=sorted(presets.PRESETS), help="run a named grid")
 
     p_ingest = sub.add_parser("ingest", help="parse a source CSV into a cleaned cache file")
-    p_ingest.add_argument("path", help="semicolon-separated source CSV")
+    p_ingest.add_argument("path", type=_existing("file"), help="semicolon-separated source CSV")
     p_ingest.add_argument("--out", default="cache", help="cache directory")
 
     p_train = sub.add_parser("train", help="run federation with the configured attack and detector")
@@ -57,7 +81,7 @@ def _build_parser() -> _Parser:
     p_tables.add_argument("--table-seeds", default="0,1", help="comma-separated run seeds per cell")
 
     p_rdp = sub.add_parser("rdp-train", help="train the privacy-level agent on generated tables")
-    p_rdp.add_argument("--tables", required=True, help="loss-tables CSV from rdp-tables")
+    p_rdp.add_argument("--tables", type=_existing("file"), required=True, help="loss-tables CSV from rdp-tables")
     p_rdp.add_argument("--out", default="runs/rdp", help="output directory")
     p_rdp.add_argument("--seed", type=int, default=0)
     p_rdp.add_argument("--alpha", type=float, default=0.001)
@@ -65,11 +89,13 @@ def _build_parser() -> _Parser:
     p_rdp.add_argument("--episodes", type=int, default=60000)
 
     p_report = sub.add_parser("report", help="summarize one or more run directories")
-    p_report.add_argument("runs", nargs="+", help="run directories, or one parent directory")
+    p_report.add_argument(
+        "runs", nargs="+", type=_existing("directory"), help="run directories, or one parent directory"
+    )
     p_report.add_argument("--out", help="also write the table as CSV")
 
     p_accept = sub.add_parser("accept", help="run the acceptance suite with pinned seeds")
-    p_accept.add_argument("--only", help="comma-separated criterion numbers, e.g. 1,2,10")
+    p_accept.add_argument("--only", type=_criteria, help="comma-separated criterion numbers, e.g. 1,2,10")
     p_accept.add_argument("--out", default="runs/acceptance", help="scratch directory")
     return parser
 
@@ -224,10 +250,7 @@ def _cmd_report(args) -> int:
 def _cmd_accept(args) -> int:
     from .acceptance import run_suite
 
-    only = None
-    if args.only:
-        only = {int(x) for x in args.only.split(",") if x.strip()}
-    results = run_suite(Path(args.out), only=only)
+    results = run_suite(Path(args.out), only=args.only)
     failed = [r for r in results if not r.passed]
     return EXIT_ACCEPTANCE if failed else EXIT_OK
 

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -262,12 +262,3 @@ def split_holdout(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, D
     order = rng.permutation(len(data))
     n_hold = round(fraction * len(data))
     return data.take(order[:n_hold]), data.take(order[n_hold:])
-
-
-def pooled_validation(shards: Sequence[NodeShard]) -> tuple[np.ndarray, np.ndarray]:
-    """Union of every shard's validation split, in node-id order."""
-    ordered = sorted(shards, key=lambda s: s.node_id)
-    return (
-        np.concatenate([s.validation.x for s in ordered]),
-        np.concatenate([s.validation.y for s in ordered]),
-    )

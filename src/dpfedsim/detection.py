@@ -10,7 +10,7 @@ with kind "off" it returns no verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,13 @@ class DetectorConfig:
 class Verdict:
     node_id: int
     rate: float
-    components: dict = None
+    # the terms behind the rate, NaN where the kind computes none: d and
+    # e1 from the norm test, e2, loss_i and loss_st from the loss test
+    d: float = np.nan
+    e1: float = np.nan
+    e2: float = np.nan
+    loss_i: float = np.nan
+    loss_st: float = np.nan
 
     @property
     def flagged(self) -> bool:
@@ -78,7 +84,7 @@ def norm_rate(update: ModelUpdate, standard: np.ndarray, cfg: DetectorConfig) ->
         e1 = cfg.d_max
 
     rate = min(1.0, max(0.0, 1.0 - max(0.0, e1 - cfg.beta1)))
-    return Verdict(node_id=update.node_id, rate=rate, components={"d": d, "e1": e1})
+    return Verdict(node_id=update.node_id, rate=rate, d=d, e1=e1)
 
 
 def loss_test_rate(loss_i: float, loss_st: float, cfg: DetectorConfig) -> tuple[float, float]:
@@ -113,11 +119,7 @@ def accuracy_rate(
     loss_i = mse_loss(arch, global_params + update.delta, validation)
     loss_st = mse_loss(arch, global_params + standard, validation)
     rate, e2 = loss_test_rate(loss_i, loss_st, cfg)
-    return Verdict(
-        node_id=update.node_id,
-        rate=rate,
-        components={"e2": e2, "loss_i": loss_i, "loss_st": loss_st},
-    )
+    return Verdict(node_id=update.node_id, rate=rate, e2=e2, loss_i=loss_i, loss_st=loss_st)
 
 
 def evaluate(
@@ -131,28 +133,19 @@ def evaluate(
     or none when it is off.
 
     For mix detection, the per-node rate is the minimum of the norm and
-    accuracy rates, so flagged(mix) is exactly the union of the two.
+    accuracy rates, so flagged(mix) is exactly the union of the two, and
+    the verdict carries both tests' terms.
     """
     if cfg.kind == "off":
         return []
-    standards = comparison_standard(updates)
+    pairs = list(zip(updates, comparison_standard(updates)))
     if cfg.kind == "norm":
-        return [norm_rate(u, st, cfg) for u, st in zip(updates, standards)]
-    acc_v = [
-        accuracy_rate(u, st, cfg, arch, global_params, validation)
-        for u, st in zip(updates, standards)
-    ]
+        return [norm_rate(u, st, cfg) for u, st in pairs]
+    acc_v = [accuracy_rate(u, st, cfg, arch, global_params, validation) for u, st in pairs]
     if cfg.kind == "accuracy":
         return acc_v
-    norm_v = [norm_rate(u, st, cfg) for u, st in zip(updates, standards)]
-    return [
-        Verdict(
-            node_id=nv.node_id,
-            rate=min(nv.rate, av.rate),
-            components={"norm": nv.components, "accuracy": av.components},
-        )
-        for nv, av in zip(norm_v, acc_v)
-    ]
+    norm_v = [norm_rate(u, st, cfg) for u, st in pairs]
+    return [replace(av, rate=min(nv.rate, av.rate), d=nv.d, e1=nv.e1) for nv, av in zip(norm_v, acc_v)]
 
 
 def detection_accuracy(

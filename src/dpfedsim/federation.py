@@ -22,7 +22,7 @@ import numpy as np
 
 from . import adversary as adv
 from . import detection as det
-from .data import NodeShard, pooled_validation
+from .data import NodeShard
 from .model import Architecture, ModelUpdate, OptimizerConfig, init_params, mse_loss, train_stack
 from .model import local_train  # noqa: F401  (bound here for perfbench/tracer.py's hooks)
 from .privacy import PrivacyLedger, PrivacySpec, add_noise, clip
@@ -60,8 +60,7 @@ class FederationConfig:
 @dataclass(frozen=True)
 class RoundRecord:
     episode: int
-    selected: tuple[int, ...]
-    submitted: tuple[ModelUpdate, ...]
+    submitted: tuple[ModelUpdate, ...]  # in selection order: ascending node id
     flagged: frozenset[int]
     global_params_after: np.ndarray
     global_val_loss: float
@@ -74,7 +73,6 @@ class RoundRecord:
         """Bitwise equality of the federation-visible fields."""
         return (
             self.episode == other.episode
-            and self.selected == other.selected
             and self.flagged == other.flagged
             and len(self.submitted) == len(other.submitted)
             and all(
@@ -96,6 +94,8 @@ class FederationState:
     shards: list[NodeShard]
     global_params: np.ndarray
     ledger: PrivacyLedger
+    # every shard's validation split, concatenated in node-id order
+    pooled_validation: tuple[np.ndarray, np.ndarray]
     server_validation: Optional[tuple[np.ndarray, np.ndarray]] = None
     episode: int = 0
     # one row per episode the adaptive attacker stepped in; run_episode
@@ -112,11 +112,15 @@ class FederationState:
             shards=list(shards),
             global_params=params,
             ledger=PrivacyLedger(stop_threshold=cfg.stop_threshold),
+            pooled_validation=(
+                np.concatenate([s.validation.x for s in shards]),
+                np.concatenate([s.validation.y for s in shards]),
+            ),
             server_validation=server_validation,
         )
 
     def global_validation_loss(self) -> float:
-        return mse_loss(self.cfg.arch, self.global_params, pooled_validation(self.shards))
+        return mse_loss(self.cfg.arch, self.global_params, self.pooled_validation)
 
 
 def select_nodes(k: int, n: int, rng: np.random.Generator) -> list[int]:
@@ -145,11 +149,11 @@ def aggregate(global_params: np.ndarray, updates: Sequence[ModelUpdate]) -> np.n
     return global_params + total / len(updates)
 
 
-def _submission(raw: ModelUpdate, cfg: FederationConfig, gamma: float) -> ModelUpdate:
-    """Clip and noise one trained update (adversarially, with the episode's
-    degree of poisoning gamma, for compromised nodes)."""
+def _submission(raw: ModelUpdate, cfg: FederationConfig, episode: int, gamma: float) -> ModelUpdate:
+    """Clip and noise one trained update of the episode (adversarially, with
+    the episode's degree of poisoning gamma, for compromised nodes)."""
     clipped = clip(raw, cfg.privacy.clip_c)
-    noise_rng = substream(cfg.seed, "noise", raw.episode, raw.node_id)
+    noise_rng = substream(cfg.seed, "noise", episode, raw.node_id)
     if raw.node_id in cfg.attack.compromised:
         return adv.inject(clipped, cfg.privacy, gamma, noise_rng)
     return add_noise(clipped, cfg.privacy, noise_rng)
@@ -193,12 +197,10 @@ def run_episode(state: FederationState) -> RoundRecord:
     submitted = []
     for i in selected:
         if i in rmd:
-            submitted.append(
-                adv.rmd_update(cfg.privacy, substream(cfg.seed, "rmd", t, i), cfg.arch.n_params,
-                               node_id=i, episode=t)
-            )
+            rng = substream(cfg.seed, "rmd", t, i)
+            submitted.append(adv.rmd_update(cfg.privacy, rng, cfg.arch.n_params, node_id=i))
         else:
-            submitted.append(_submission(raw[i], cfg, gamma))
+            submitted.append(_submission(raw[i], cfg, t, gamma))
 
     verdicts = det.evaluate(
         submitted,
@@ -218,7 +220,6 @@ def run_episode(state: FederationState) -> RoundRecord:
 
     return RoundRecord(
         episode=t,
-        selected=tuple(selected),
         submitted=tuple(submitted),
         flagged=flagged,
         global_params_after=state.global_params.copy(),

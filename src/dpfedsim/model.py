@@ -66,7 +66,6 @@ class ModelUpdate:
 
     delta: np.ndarray
     node_id: int
-    episode: int
     steps: int = 0  # optimizer steps actually taken (diagnostic)
 
 
@@ -214,7 +213,7 @@ def train_stack(
 
     Raises TrainingDivergedError for the first node, in the given order,
     whose weights or validation loss become non-finite, at that node's
-    own step.
+    own step; ``episode`` is only reported in that error.
     """
     n = len(shards)
     streams = [batches(s.train, cfg.batch_size, seed) for s, seed in zip(shards, seeds)]
@@ -277,10 +276,7 @@ def train_stack(
         first = int(np.flatnonzero(diverged_at)[0])
         raise TrainingDivergedError(int(diverged_at[first]), node_ids[first], episode)
     deltas = w - global_params
-    return [
-        ModelUpdate(delta=deltas[j], node_id=node_ids[j], episode=episode, steps=int(steps[j]))
-        for j in range(n)
-    ]
+    return [ModelUpdate(delta=deltas[j], node_id=node_ids[j], steps=int(steps[j])) for j in range(n)]
 
 
 def local_train(

@@ -55,7 +55,7 @@ SPEC = PrivacySpec(epsilon=0.7, delta=0.001, clip_c=1.0)
 
 
 def test_inject_gamma_zero_equals_benign_mechanism():
-    clipped = ModelUpdate(delta=np.linspace(-1, 1, 12), node_id=3, episode=2)
+    clipped = ModelUpdate(delta=np.linspace(-1, 1, 12), node_id=3)
     benign = add_noise(clipped, SPEC, substream(5, "noise", 2, 3))
     attacked = inject(clipped, SPEC, 0.0, substream(5, "noise", 2, 3))
     assert np.array_equal(benign.delta, attacked.delta)
@@ -64,7 +64,7 @@ def test_inject_gamma_zero_equals_benign_mechanism():
 def test_inject_zero_variance_is_pure_shift():
     # epsilon enormous: noise std underflows, leaving only the mean shift
     spec = PrivacySpec(epsilon=1e300, delta=0.001, clip_c=1.0)
-    clipped = ModelUpdate(delta=np.zeros(4), node_id=0, episode=1)
+    clipped = ModelUpdate(delta=np.zeros(4), node_id=0)
     out = inject(clipped, spec, 2.0, substream(0, "n"))
     mu = adversarial_mu(2.0, spec.noise_std)
     assert np.allclose(out.delta, mu, atol=1e-280)
@@ -74,7 +74,7 @@ def test_inject_mean_estimator():
     # 1e5 scalar draws with gamma=2, sigma_x = S*sigma = 1
     spec = PrivacySpec(epsilon=math.sqrt(2 * math.log(1250.0)), delta=0.001, clip_c=1.0)
     assert spec.noise_std == pytest.approx(1.0)
-    clipped = ModelUpdate(delta=np.zeros(10**5), node_id=0, episode=1)
+    clipped = ModelUpdate(delta=np.zeros(10**5), node_id=0)
     out = inject(clipped, spec, 2.0, substream(8, "est"))
     assert abs(out.delta.mean() - 2.0) < 4.0 / math.sqrt(10**5)
 

@@ -92,6 +92,34 @@ def test_hooks_trace_a_smoke_run(tracer, tmp_path):
     assert traced.counters["data.samples"] == 200
 
 
+def test_hooks_trace_every_episode_layer_of_a_mix_run(tracer, tmp_path):
+    """Each per-layer count of a mix-detector run is tied to the run, so a
+    call moved behind a binding the tracer does not wrap breaks an equality."""
+    _name, overrides = presets.expand("smoke")[0]
+    cfg = ExperimentConfig.from_dict({**overrides, "seed": 5, "detector.kind": "mix"})
+    with tracer.Tracer(full=True) as traced:
+        bundle = experiment.run(cfg, tmp_path / "mix")
+    tracer.assert_pristine()
+
+    assert bundle.status == "ok"
+    episodes = bundle.summary["episodes_executed"]
+    counts = traced.counters
+
+    def calls(name):
+        return _calls(tracer, traced, name)
+
+    assert calls("adversary.inject") > 0
+    assert (
+        calls("privacy.clip")
+        == calls("privacy.add_noise") + calls("adversary.inject")
+        == counts["federation.node_updates"]
+        > 0
+    )
+    assert calls("detection.norm_rate") == calls("detection.accuracy_rate") == counts["detection.verdicts"] > 0
+    assert calls("federation.aggregate") == calls("federation.select_nodes") == episodes > 0
+    assert calls("federation.global_validation_loss") >= episodes
+
+
 def test_hooks_trace_a_loss_table_run(tracer):
     base = _smoke_config()
     with tracer.Tracer(full=True) as traced:

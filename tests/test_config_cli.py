@@ -488,3 +488,37 @@ def test_cli_rdp_tables_rejects_non_finite_gamma(tmp_path, capsys):
     assert main(argv) == 1
     assert "attack.gamma_fixed: must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "only,named",
+    [
+        pytest.param("99", "99", id="unknown_number"),
+        pytest.param("abc", "abc", id="not_a_number"),
+        pytest.param("2,abc,13", "abc, 13", id="every_bad_entry"),
+    ],
+)
+def test_cli_accept_rejects_unknown_criteria_before_running_any(tmp_path, capsys, only, named):
+    out = tmp_path / "acceptance"
+    assert main(["accept", "--only", only, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: argument --only: not a criterion number: {named}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(["train", "--config", "nosuch.cfg"], "--config: no such file nosuch.cfg", id="train_config"),
+        pytest.param(["rdp-tables", "--config", "nosuch.cfg"], "--config: no such file nosuch.cfg", id="tables_config"),
+        pytest.param(["rdp-train", "--tables", "nosuch.csv"], "--tables: no such file nosuch.csv", id="rdp_tables"),
+        pytest.param(["report", "nosuchdir"], "runs: no such directory nosuchdir", id="report_runs"),
+        pytest.param(["ingest", "nosuch.txt"], "path: no such file nosuch.txt", id="ingest_path"),
+    ],
+)
+def test_cli_missing_input_path_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

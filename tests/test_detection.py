@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ CFG = DetectorConfig(kind="norm", beta1=1.0, beta2=0.1, d_max=10.0)
 
 
 def _ups(rows):
-    return [ModelUpdate(delta=np.asarray(r, dtype=np.float64), node_id=i, episode=1)
+    return [ModelUpdate(delta=np.asarray(r, dtype=np.float64), node_id=i)
             for i, r in enumerate(rows)]
 
 
@@ -62,15 +64,15 @@ def test_norm_identical_updates_pass():
     ups = _ups([(1.0, 1.0)] * 4)
     for i in range(4):
         v = _norm(ups, i)
-        assert v.rate == 1.0 and not v.flagged and v.components["e1"] == 0.0
+        assert v.rate == 1.0 and not v.flagged and v.e1 == 0.0
 
 
 def test_norm_hand_evaluated_fixture():
     # st = (1,0); d = 4; e1 = 4; rate = clamp(1 - 3) = 0
     ups = _ups([(1, 0), (1, 0), (1, 0), (3, 0)])
     v = _norm(ups, 3)
-    assert v.components["d"] == 4.0
-    assert v.components["e1"] == 4.0
+    assert v.d == 4.0
+    assert v.e1 == 4.0
     assert v.rate == 0.0 and v.flagged
 
 
@@ -78,13 +80,13 @@ def test_norm_boundary_not_flagged():
     # e1 exactly beta1: max(0, 0) = 0 -> rate 1
     ups = _ups([(1, 0), (1, 0), (1, 0), (2, 0)])
     v = _norm(ups, 3)
-    assert v.components["e1"] == 1.0 and v.rate == 1.0 and not v.flagged
+    assert v.e1 == 1.0 and v.rate == 1.0 and not v.flagged
 
 
 def test_norm_dmax_cap():
     ups = _ups([(0.1, 0), (0.1, 0), (0.1, 0), (100, 0)])
     v = _norm(ups, 3)
-    assert v.components["e1"] == CFG.d_max
+    assert v.e1 == CFG.d_max
 
 
 def test_norm_degenerate_standard():
@@ -92,7 +94,7 @@ def test_norm_degenerate_standard():
     ups = _ups([(1, 0), (-1, 0), (0.5, 0.5)])
     # for i=2 the standard is mean of (1,0), (-1,0) = (0,0)
     v = _norm(ups, 2)
-    assert v.components["e1"] == CFG.d_max and v.flagged
+    assert v.e1 == CFG.d_max and v.flagged
 
 
 @given(st.integers(0, 10**6))
@@ -153,13 +155,13 @@ def _accuracy_setup(seed=0):
 
 def test_accuracy_rate_end_to_end_flags_loss_increaser():
     arch, params, val, rng = _accuracy_setup()
-    benign = [ModelUpdate(delta=np.zeros(arch.n_params), node_id=i, episode=1) for i in range(3)]
-    hostile = ModelUpdate(delta=rng.normal(3.0, 1.0, arch.n_params), node_id=3, episode=1)
+    benign = [ModelUpdate(delta=np.zeros(arch.n_params), node_id=i) for i in range(3)]
+    hostile = ModelUpdate(delta=rng.normal(3.0, 1.0, arch.n_params), node_id=3)
     ups = benign + [hostile]
     cfg = DetectorConfig(kind="accuracy", beta2=0.1)
     standards = comparison_standard(ups)
     v = accuracy_rate(ups[3], standards[3], cfg, arch, params, val)
-    assert v.components["loss_i"] > v.components["loss_st"]
+    assert v.loss_i > v.loss_st
     assert v.flagged
     v0 = accuracy_rate(ups[0], standards[0], cfg, arch, params, val)
     assert not v0.flagged  # zero update against near-zero standard
@@ -203,21 +205,33 @@ def test_evaluate_equals_per_node_standard_oracle(n):
     acc = [accuracy_rate(ups[i], alone[i], cfg["accuracy"], arch, params, val) for i in range(n)]
     for i in range(n):
         diff = ups[i].delta - alone[i]
-        assert norm[i].components["d"] == float(diff @ diff)
-        assert acc[i].components["loss_st"] == mse_loss(arch, params + alone[i], val)
+        assert norm[i].d == float(diff @ diff)
+        assert acc[i].loss_st == mse_loss(arch, params + alone[i], val)
     assert np.array_equal(comparison_standard(ups), alone)
     assert evaluate(ups, DetectorConfig(kind="off")) == []
 
-    def terms(verdicts):
-        return [(v.node_id, v.rate, v.components) for v in verdicts]
+    terms_of = ("d", "e1", "e2", "loss_i", "loss_st")
 
-    assert terms(evaluate(ups, cfg["norm"])) == terms(norm)
-    assert terms(evaluate(ups, cfg["accuracy"], arch, params, val)) == terms(acc)
-    mix = evaluate(ups, cfg["mix"], arch, params, val)
-    assert terms(mix) == [
-        (nv.node_id, min(nv.rate, av.rate), {"norm": nv.components, "accuracy": av.components})
-        for nv, av in zip(norm, acc)
-    ]
+    def terms(verdicts):
+        return np.array([[v.node_id, v.rate] + [getattr(v, t) for t in terms_of] for v in verdicts])
+
+    by_kind = {
+        "norm": evaluate(ups, cfg["norm"]),
+        "accuracy": evaluate(ups, cfg["accuracy"], arch, params, val),
+        "mix": evaluate(ups, cfg["mix"], arch, params, val),
+    }
+    # one verdict shape for every kind, NaN exactly where the kind computes nothing
+    uncomputed = {"norm": {"e2", "loss_i", "loss_st"}, "accuracy": {"d", "e1"}, "mix": set()}
+    for kind, verdicts in by_kind.items():
+        for v in verdicts:
+            assert type(v) is Verdict
+            assert {t for t in terms_of if math.isnan(getattr(v, t))} == uncomputed[kind], kind
+    assert np.array_equal(terms(by_kind["norm"]), terms(norm), equal_nan=True)
+    assert np.array_equal(terms(by_kind["accuracy"]), terms(acc), equal_nan=True)
+    mix = terms(by_kind["mix"])
+    assert np.array_equal(mix[:, 1], np.minimum(terms(norm)[:, 1], terms(acc)[:, 1]))
+    assert np.array_equal(mix[:, 2:4], terms(norm)[:, 2:4])
+    assert np.array_equal(mix[:, 4:], terms(acc)[:, 4:])
 
 
 # detection accuracy ---------------------------------------------------

@@ -18,7 +18,7 @@ from dpfedsim.federation import (
     run_episode,
     select_nodes,
 )
-from dpfedsim.model import ModelUpdate, OptimizerConfig
+from dpfedsim.model import ModelUpdate, OptimizerConfig, mse_loss
 from dpfedsim.privacy import PrivacySpec
 from dpfedsim.rng import substream
 
@@ -80,7 +80,7 @@ def test_select_uniform_inclusion_frequency():
 # aggregation -----------------------------------------------------------
 
 def _upd(node_id, values):
-    return ModelUpdate(delta=np.asarray(values, dtype=np.float64), node_id=node_id, episode=1)
+    return ModelUpdate(delta=np.asarray(values, dtype=np.float64), node_id=node_id)
 
 
 def test_aggregate_zero_updates_keep_global():
@@ -154,7 +154,7 @@ def test_episode_submitted_count_and_flag_subset():
     state = _state(cfg)
     record = run_episode(state)
     assert len(record.submitted) == cfg.n
-    assert set(record.flagged) <= set(record.selected)
+    assert set(record.flagged) <= {u.node_id for u in record.submitted}
 
 
 def test_episode_clipped_before_noise():
@@ -169,6 +169,18 @@ def test_episode_clipped_before_noise():
         ).standard_normal(update.delta.shape)
         clipped = update.delta - noise
         assert np.linalg.norm(clipped) <= cfg.privacy.clip_c * (1 + 1e-9)
+
+
+def test_pooled_validation_is_built_once_in_node_id_order():
+    cfg = _fed_cfg()
+    state = _state(cfg)
+    ordered = sorted(state.shards, key=lambda s: s.node_id)
+    x, y = state.pooled_validation
+    assert np.array_equal(x, np.concatenate([s.validation.x for s in ordered]))
+    assert np.array_equal(y, np.concatenate([s.validation.y for s in ordered]))
+    run_episode(state)
+    loss = mse_loss(cfg.arch, state.global_params, (x, y))
+    assert state.global_validation_loss().hex() == loss.hex()
 
 
 def test_episode_all_flagged_aborts():
@@ -243,7 +255,8 @@ def test_training_equals_per_node_reference(attack, gamma_fixed):
         # the controller paused once: the one degree is then 0
         assert 0.0 in [row["gamma_t"] for row in state.attack_trace]
     for rec in records:
-        assert [u.node_id for u in rec.submitted] == list(rec.selected)
+        selected = select_nodes(state.cfg.k, state.cfg.n, substream(state.cfg.seed, "select", rec.episode))
+        assert [u.node_id for u in rec.submitted] == selected
     seen_compromised = sum(len(rec.active_compromised) for rec in records)
     assert seen_compromised > 0 or attack is None
 

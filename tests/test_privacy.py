@@ -11,7 +11,7 @@ from dpfedsim.rng import substream
 
 
 def _update(values):
-    return ModelUpdate(delta=np.asarray(values, dtype=np.float64), node_id=0, episode=1)
+    return ModelUpdate(delta=np.asarray(values, dtype=np.float64), node_id=0)
 
 
 def test_clip_noop_below_threshold():
