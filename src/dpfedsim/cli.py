@@ -35,9 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse types: a bad value is a usage error naming its flag or argument,
 # raised before any command runs.
-def _existing(kind: str):
+def _existing(test, kind: str):
     def check(text: str) -> str:
-        if not (Path(text).is_file() if kind == "file" else Path(text).is_dir()):
+        if not test(Path(text)):
             raise argparse.ArgumentTypeError(f"no such {kind} {text}")
         return text
 
@@ -52,7 +52,7 @@ def _criteria(text: str) -> set[int]:
     bad = [item for item in entries if not (item.isdigit() and int(item) in known)]
     if bad or not entries:
         raise argparse.ArgumentTypeError(
-            f"not a criterion number: {', '.join(bad) or '(none given)'} (criteria are 1 to {len(known)})"
+            f"not a criterion number: {', '.join(bad) or '(none given)'} (criteria are {', '.join(map(str, sorted(known)))})"
         )
     return {int(item) for item in entries}
 
@@ -62,14 +62,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_preset=True):
-        p.add_argument("--config", type=_existing("file"), help="key = value config file")
+        p.add_argument("--config", type=_existing(Path.is_file, "file"), help="key = value config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="runs", help="output directory")
         if with_preset:
             p.add_argument("--preset", choices=sorted(presets.PRESETS), help="run a named grid")
 
     p_ingest = sub.add_parser("ingest", help="parse a source CSV into a cleaned cache file")
-    p_ingest.add_argument("path", type=_existing("file"), help="semicolon-separated source CSV")
+    p_ingest.add_argument("path", type=_existing(Path.is_file, "file"), help="semicolon-separated source CSV")
     p_ingest.add_argument("--out", default="cache", help="cache directory")
 
     p_train = sub.add_parser("train", help="run federation with the configured attack and detector")
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p_tables.add_argument("--table-seeds", default="0,1", help="comma-separated run seeds per cell")
 
     p_rdp = sub.add_parser("rdp-train", help="train the privacy-level agent on generated tables")
-    p_rdp.add_argument("--tables", type=_existing("file"), required=True, help="loss-tables CSV from rdp-tables")
+    p_rdp.add_argument("--tables", type=_existing(Path.is_file, "file"), required=True, help="loss-tables CSV from rdp-tables")
     p_rdp.add_argument("--out", default="runs/rdp", help="output directory")
     p_rdp.add_argument("--seed", type=int, default=0)
     p_rdp.add_argument("--alpha", type=float, default=0.001)
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="summarize one or more run directories")
     p_report.add_argument(
-        "runs", nargs="+", type=_existing("directory"), help="run directories, or one parent directory"
+        "runs", nargs="+", type=_existing(Path.is_dir, "directory"), help="run directories, or one parent directory"
     )
     p_report.add_argument("--out", help="also write the table as CSV")
 

@@ -228,10 +228,12 @@ def test_evaluate_equals_per_node_standard_oracle(n):
             assert {t for t in terms_of if math.isnan(getattr(v, t))} == uncomputed[kind], kind
     assert np.array_equal(terms(by_kind["norm"]), terms(norm), equal_nan=True)
     assert np.array_equal(terms(by_kind["accuracy"]), terms(acc), equal_nan=True)
-    mix = terms(by_kind["mix"])
-    assert np.array_equal(mix[:, 1], np.minimum(terms(norm)[:, 1], terms(acc)[:, 1]))
-    assert np.array_equal(mix[:, 2:4], terms(norm)[:, 2:4])
-    assert np.array_equal(mix[:, 4:], terms(acc)[:, 4:])
+    # mix: each node's min rate, carrying the norm test's d/e1 and the accuracy test's e2/loss_i/loss_st
+    expected = terms(norm)
+    expected[:, 1] = np.minimum(terms(norm)[:, 1], terms(acc)[:, 1])
+    expected[:, 4:] = terms(acc)[:, 4:]
+    assert np.array_equal(terms(acc)[:, 0], expected[:, 0])
+    assert np.array_equal(terms(by_kind["mix"]), expected)
 
 
 # detection accuracy ---------------------------------------------------
