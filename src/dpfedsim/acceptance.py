@@ -457,13 +457,13 @@ def replay_per_node(state: FederationState) -> tuple[list[RoundRecord], str, lis
         t = rec.episode
         for update in rec.submitted:
             i = update.node_id
-            compromised = i in rec.active_compromised
+            compromised = i in cfg.attack.compromised
             if compromised and cfg.attack.kind == "rmd":
                 expected = rmd_update(spec, substream(seed, "rmd", t, i), len(params), node_id=i)
             else:
                 raw = local_train(
                     cfg.arch, params, state.shards[i], cfg.optimizer,
-                    substream_seed(seed, "train", t, i), node_id=i, episode=t,
+                    substream_seed(seed, "train", t, i), episode=t,
                 )
                 clipped, noise_rng = clip(raw, spec.clip_c), substream(seed, "noise", t, i)
                 if not compromised:

@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="summarize one or more run directories")
     p_report.add_argument(
-        "runs", nargs="+", type=_existing(Path.is_dir, "directory"), help="run directories, or one parent directory"
+        "runs", nargs="+", type=_existing(Path.is_dir, "directory"), help="run directories or their parent directories"
     )
     p_report.add_argument("--out", help="also write the table as CSV")
 
@@ -239,9 +239,12 @@ def _cmd_rdp_train(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    run_dirs = args.runs
-    if len(run_dirs) == 1:
-        run_dirs = discover_runs(run_dirs[0])
+    run_dirs = []
+    for arg in args.runs:
+        found = discover_runs(arg)
+        if not found:
+            raise UsageError(f"argument runs: no summary.csv in {arg} or its subdirectories")
+        run_dirs += found
     text, _rows = report(run_dirs, args.out)
     print(text)
     return EXIT_OK

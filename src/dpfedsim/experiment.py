@@ -96,7 +96,7 @@ def run(cfg: ExperimentConfig, out_dir) -> MetricsBundle:
     summary = {
         "episodes_executed": len(records),
         "final_val_loss": records[-1].global_val_loss if records else float("nan"),
-        "delta_spent": records[-1].delta_cumulative if records else 0.0,
+        "delta_spent": state.ledger.cumulative_delta,
     }
     if state.cfg.detector.kind != "off":
         summary["d_acc"] = detection_accuracy([r.verdicts for r in records], state.cfg.attack.compromised)
@@ -123,7 +123,7 @@ def _emit_metrics(out_dir: Path, state: FederationState, records: Sequence[Round
         row = {
             "episode": rec.episode,
             "n": len(rec.submitted),
-            "m_active": len(rec.active_compromised),
+            "m_active": sum(u.node_id in attack.compromised for u in rec.submitted),
             "global_val_loss": rec.global_val_loss,
             "delta_cumulative": rec.delta_cumulative,
             "flagged_count": len(rec.flagged),

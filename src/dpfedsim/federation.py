@@ -10,7 +10,10 @@ Determinism contract: every random draw comes from a substream keyed by
 (master seed, purpose, episode, node), and updates are combined in
 ascending node-id order. The episode's nodes train together as one
 stack (model.train_stack), and each node's update is bitwise what it
-would be if that node trained alone with model.local_train.
+would be if that node trained alone with model.local_train, on the
+OpenBLAS kernels where that has been checked: the products' summation
+order is the kernel's, and under the Prescott kernel a stacked node of
+an adaptive-attack run differs from its lone replay.
 """
 
 from __future__ import annotations
@@ -61,13 +64,15 @@ class FederationConfig:
 class RoundRecord:
     episode: int
     submitted: tuple[ModelUpdate, ...]  # in selection order: ascending node id
-    flagged: frozenset[int]
     global_params_after: np.ndarray
     global_val_loss: float
     delta_cumulative: float
-    # diagnostics, not part of the aggregation contract
+    # the detector's verdicts; flagged, and so same_outcome, read them
     verdicts: tuple = ()
-    active_compromised: tuple[int, ...] = ()
+
+    @property
+    def flagged(self) -> frozenset[int]:
+        return frozenset(v.node_id for v in self.verdicts if v.flagged)
 
     def same_outcome(self, other: "RoundRecord") -> bool:
         """Bitwise equality of the federation-visible fields."""
@@ -104,6 +109,9 @@ class FederationState:
 
     @classmethod
     def create(cls, cfg: FederationConfig, shards: Sequence[NodeShard], server_validation=None) -> "FederationState":
+        for pos, shard in enumerate(shards):  # run_episode looks shards up by node id
+            if shard.node_id != pos:
+                raise ValueError(f"shard at position {pos} has node_id {shard.node_id}, expected {pos}")
         if cfg.detector.kind in ("accuracy", "mix") and server_validation is None:
             raise ValueError(f"{cfg.detector.kind} detection requires a server validation set")
         params = init_params(cfg.arch, substream(cfg.seed, "init"))
@@ -190,7 +198,6 @@ def run_episode(state: FederationState) -> RoundRecord:
         [state.shards[i] for i in training],
         cfg.optimizer,
         [substream_seed(cfg.seed, "train", t, i) for i in training],
-        node_ids=training,
         episode=t,
     )
     raw = dict(zip(training, trained))
@@ -221,10 +228,8 @@ def run_episode(state: FederationState) -> RoundRecord:
     return RoundRecord(
         episode=t,
         submitted=tuple(submitted),
-        flagged=flagged,
         global_params_after=state.global_params.copy(),
         global_val_loss=state.global_validation_loss(),
         delta_cumulative=state.ledger.cumulative_delta,
         verdicts=tuple(verdicts),
-        active_compromised=tuple(active_compromised),
     )

@@ -196,7 +196,6 @@ def train_stack(
     shards: Sequence[NodeShard],
     cfg: OptimizerConfig,
     seeds: Sequence[int],
-    node_ids: Sequence[int],
     episode: int = 0,
 ) -> list[ModelUpdate]:
     """Local optimization of several nodes from one global model, together.
@@ -211,7 +210,8 @@ def train_stack(
     evaluations (a node with an empty validation split never stops
     early).
 
-    Raises TrainingDivergedError for the first node, in the given order,
+    Each update, and each TrainingDivergedError, carries its shard's
+    node_id. The error is raised for the first node, in the given order,
     whose weights or validation loss become non-finite, at that node's
     own step; ``episode`` is only reported in that error.
     """
@@ -239,44 +239,47 @@ def train_stack(
         diverged_at[nodes] = step
         active[nodes.min():] = False
 
-    for step in range(1, cfg.local_steps + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        step_batches = [next(streams[j]) for j in idx]
-        g = np.empty((idx.size, w.shape[1]))
-        for rows in _by_length(step_batches):
-            g[rows] = gradient(arch, w[idx[rows]], _stack([step_batches[r] for r in rows]))
-        if cfg.kind == "mbgd":
-            w[idx] = w[idx] - cfg.learning_rate * g
-        else:
-            m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
-            u[idx] = np.maximum(beta2 * u[idx], np.abs(g))
-            w[idx] = w[idx] - (cfg.learning_rate / (1.0 - beta1**step)) * m[idx] / (u[idx] + eps)
-        steps[idx] = step
+    # the finiteness checks below report divergence, so the overflow and
+    # invalid-value warnings on the way there say nothing new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.local_steps + 1):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            step_batches = [next(streams[j]) for j in idx]
+            g = np.empty((idx.size, w.shape[1]))
+            for rows in _by_length(step_batches):
+                g[rows] = gradient(arch, w[idx[rows]], _stack([step_batches[r] for r in rows]))
+            if cfg.kind == "mbgd":
+                w[idx] = w[idx] - cfg.learning_rate * g
+            else:
+                m[idx] = beta1 * m[idx] + (1.0 - beta1) * g
+                u[idx] = np.maximum(beta2 * u[idx], np.abs(g))
+                w[idx] = w[idx] - (cfg.learning_rate / (1.0 - beta1**step)) * m[idx] / (u[idx] + eps)
+            steps[idx] = step
 
-        finite = np.isfinite(w[idx]).all(axis=1)
-        if not finite.all():
-            diverge(idx[~finite], step)
-
-        evaluated = [j for j in idx if active[j] and validation[j] is not None]
-        for group in _by_length([validation[j] for j in evaluated]):
-            nodes = np.array([evaluated[k] for k in group])
-            val = mse_loss(arch, w[nodes], _stack([validation[j] for j in nodes]))
-            finite = np.isfinite(val)
+            finite = np.isfinite(w[idx]).all(axis=1)
             if not finite.all():
-                diverge(nodes[~finite], step)
-            nodes, val = nodes[finite], val[finite]
-            improved = val < best_val[nodes]
-            best_val[nodes] = np.where(improved, val, best_val[nodes])
-            stale[nodes] = np.where(improved, 0, stale[nodes] + 1)
-            active[nodes[~improved & (stale[nodes] >= cfg.patience)]] = False
+                diverge(idx[~finite], step)
+
+            evaluated = [j for j in idx if active[j] and validation[j] is not None]
+            for group in _by_length([validation[j] for j in evaluated]):
+                nodes = np.array([evaluated[k] for k in group])
+                val = mse_loss(arch, w[nodes], _stack([validation[j] for j in nodes]))
+                finite = np.isfinite(val)
+                if not finite.all():
+                    diverge(nodes[~finite], step)
+                nodes, val = nodes[finite], val[finite]
+                improved = val < best_val[nodes]
+                best_val[nodes] = np.where(improved, val, best_val[nodes])
+                stale[nodes] = np.where(improved, 0, stale[nodes] + 1)
+                active[nodes[~improved & (stale[nodes] >= cfg.patience)]] = False
 
     if diverged_at.any():
         first = int(np.flatnonzero(diverged_at)[0])
-        raise TrainingDivergedError(int(diverged_at[first]), node_ids[first], episode)
+        raise TrainingDivergedError(int(diverged_at[first]), shards[first].node_id, episode)
     deltas = w - global_params
-    return [ModelUpdate(delta=deltas[j], node_id=node_ids[j], steps=int(steps[j])) for j in range(n)]
+    return [ModelUpdate(delta=deltas[j], node_id=shards[j].node_id, steps=int(steps[j])) for j in range(n)]
 
 
 def local_train(
@@ -285,11 +288,8 @@ def local_train(
     shard: NodeShard,
     cfg: OptimizerConfig,
     seed: int,
-    node_id: int = -1,
     episode: int = 0,
 ) -> ModelUpdate:
     """Run local optimization of one shard from the global model and
     return the delta: train_stack on a stack of one."""
-    return train_stack(
-        arch, global_params, [shard], cfg, [seed], node_ids=[node_id], episode=episode
-    )[0]
+    return train_stack(arch, global_params, [shard], cfg, [seed], episode)[0]

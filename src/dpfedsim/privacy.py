@@ -62,7 +62,8 @@ def clip(update: ModelUpdate, clip_c: float) -> ModelUpdate:
     """Scale the update to l2-norm at most clip_c: delta / max(1, |delta|/C)."""
     if clip_c <= 0:
         raise ValueError("clip threshold must be positive")
-    norm = float(np.linalg.norm(update.delta))
+    with np.errstate(over="ignore"):  # an overflowed norm takes the branch below
+        norm = float(np.linalg.norm(update.delta))
     if math.isinf(norm) and np.all(np.isfinite(update.delta)):
         # the sum of squares overflowed: with unit = delta / max|delta| the
         # norm is peak * |unit|, so clipping keeps unit * peak or scales unit to C

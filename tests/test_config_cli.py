@@ -358,11 +358,41 @@ def test_cli_report_refuses_schema_mismatch(tmp_path):
     assert main(["report", str(run)]) == 2
 
 
+def _report_empty(tmp_path, capsys, count):
+    # a directory with no run at or under it is a usage error, however
+    # many directories are given
+    empties = [tmp_path / f"none{j}" for j in range(count)]
+    for empty in empties:
+        empty.mkdir()
+    assert main(["report", *map(str, empties), "--out", str(tmp_path / "report.csv")]) == 1
+    captured = capsys.readouterr()
+    assert f"argument runs: no summary.csv in {empties[0]} or its subdirectories" in captured.err
+    assert captured.out == "" and not (tmp_path / "report.csv").exists()
+
+
 def test_cli_report_empty(tmp_path, capsys):
-    empty = tmp_path / "none"
-    empty.mkdir()
-    assert main(["report", str(empty)]) == 0
-    assert "(no runs)" in capsys.readouterr().out
+    _report_empty(tmp_path, capsys, 1)
+
+
+def test_cli_report_two_empty_directories(tmp_path, capsys):
+    _report_empty(tmp_path, capsys, 2)
+
+
+@pytest.mark.parametrize(
+    "runs,args",
+    [
+        pytest.param(["p/a", "p/b", "q/c"], ["p", "q"], id="two_parent_directories"),
+        pytest.param(["p/a", "q/c", "q/d"], ["p/a", "q"], id="run_and_parent_directory"),
+    ],
+)
+def test_cli_report_expands_every_argument(tmp_path, capsys, runs, args):
+    cfg = _cfg_file(tmp_path)
+    for seed, run_dir in enumerate(runs):
+        assert main(["train", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", *(str(tmp_path / arg) for arg in args)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [run.split("/")[1] for run in runs]
 
 
 def test_cli_ingest(tmp_path, capsys):

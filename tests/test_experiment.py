@@ -77,6 +77,31 @@ def test_summary_recomputable_from_csvs(tmp_path):
     assert recomputed["d_acc"] == pytest.approx(bundle.summary["d_acc"], rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param({"attack.mode": "rmd", "attack.m": 2, "detector.kind": "norm"}, id="rmd_norm"),
+        pytest.param(
+            {"attack.mode": "mpelm", "attack.m": 2, "detector.kind": "mix", "privacy.epsilon": 5.0},
+            id="mpelm_adaptive_mix",
+        ),
+    ],
+)
+def test_episode_counts_agree_with_detection_rows(tmp_path, extra):
+    # flagged_count and m_active are derived from the verdicts and the
+    # compromised set; each must count that episode's detection.csv rows
+    bundle = _run(tmp_path, **{**extra, "federation.episodes": 5})
+    episodes = csvio.read_csv(bundle.csv_paths["episodes"], "episodes", 1)
+    detection = csvio.read_csv(bundle.csv_paths["detection"], "detection", 1)
+    assert bundle.status == "ok" and len(episodes) == 5
+    for row in episodes:
+        rows_ep = [r for r in detection if r["episode"] == row["episode"]]
+        assert len(rows_ep) == int(row["n"])
+        assert int(row["flagged_count"]) == sum(r["flagged"] == "true" for r in rows_ep)
+        assert int(row["m_active"]) == sum(r["is_truly_malicious"] == "true" for r in rows_ep)
+    assert any(int(r["m_active"]) for r in episodes) and any(int(r["flagged_count"]) for r in episodes)
+
+
 def test_ledger_csv_matches_composition(tmp_path):
     bundle = _run(tmp_path)
     rows = csvio.read_csv(bundle.csv_paths["ledger"], "ledger", 1)

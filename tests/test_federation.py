@@ -200,6 +200,13 @@ def test_episode_requires_live_ledger():
         run_episode(state)
 
 
+def test_create_rejects_shards_out_of_node_id_order():
+    cfg = _fed_cfg()
+    shards = partition(synthesize(200, seed=0), cfg.k, seed=0)
+    with pytest.raises(ValueError, match="position 0 has node_id 9"):
+        FederationState.create(cfg, shards[::-1])
+
+
 def test_accuracy_detector_requires_server_validation():
     cfg = _fed_cfg(detector=DetectorConfig(kind="accuracy"))
     with pytest.raises(ValueError, match="server validation"):
@@ -257,7 +264,7 @@ def test_training_equals_per_node_reference(attack, gamma_fixed):
     for rec in records:
         selected = select_nodes(state.cfg.k, state.cfg.n, substream(state.cfg.seed, "select", rec.episode))
         assert [u.node_id for u in rec.submitted] == selected
-    seen_compromised = sum(len(rec.active_compromised) for rec in records)
+    seen_compromised = sum(u.node_id in config.compromised for rec in records for u in rec.submitted)
     assert seen_compromised > 0 or attack is None
 
 
@@ -304,7 +311,7 @@ def test_rmd_nodes_submit_without_training():
     shards = partition(synthesize(100, seed=1), cfg.k, seed=1)
     records, _ = run_training(FederationState.create(cfg, shards))
     rec = records[0]
-    assert rec.active_compromised == (0,)
+    assert [u.node_id for u in rec.submitted if u.node_id in cfg.attack.compromised] == [0]
     # the compromised submission reflects the clip-scaled random vector,
     # not a trained update: reconstruct it from its substream
     spec = cfg.privacy
@@ -322,7 +329,7 @@ def test_adaptive_attacker_steps_only_when_active():
     shards = partition(synthesize(300, seed=2), cfg.k, seed=2)
     state = FederationState.create(cfg, shards)
     records, _ = run_training(state)
-    active_episodes = [r.episode for r in records if r.active_compromised]
+    active_episodes = [r.episode for r in records if any(u.node_id in attack.compromised for u in r.submitted)]
     assert [row["episode"] for row in state.attack_trace] == active_episodes
     losses = [row["avg_compromised_val_loss"] for row in state.attack_trace]
     assert len(losses) == len(active_episodes) and all(math.isfinite(x) for x in losses)

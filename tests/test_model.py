@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,22 @@ def test_local_train_divergence_carries_step():
     assert 1 <= err.value.step <= 8
 
 
+def test_local_train_divergence_raises_without_numpy_warnings():
+    from dpfedsim.data import Dataset, NodeShard
+
+    # the finiteness checks report divergence; the overflows on the way
+    # there (in the update and the early-stop loss) stay silent
+    data = Dataset(np.ones((40, 6)), np.zeros(40))
+    shard = NodeShard(node_id=3, train=data, validation=data.take(slice(0, 5)))
+    params = np.full(ARCH.n_params, 50.0)
+    cfg = OptimizerConfig(kind="mbgd", learning_rate=1e100, local_steps=8, early_stop=True, patience=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError) as err:
+            local_train(ARCH, params, shard, cfg, 1, episode=2)
+    assert (err.value.node_id, err.value.episode) == (3, 2)
+
+
 def test_stacked_gradient_and_loss_equal_per_row():
     rng = substream(7, "stack")
     for arch in (ARCH, Architecture(hidden=(8, 4))):
@@ -238,12 +256,9 @@ def test_train_stack_equals_per_shard_local_train(kind, early_stop):
     cfg = OptimizerConfig(kind=kind, learning_rate=0.2, batch_size=4, local_steps=12,
                           early_stop=early_stop, patience=1)
     seeds = [100 + j for j in range(len(shards))]
-    ids = [s.node_id for s in shards]
-    stacked = train_stack(ARCH, params, shards, cfg, seeds, node_ids=ids, episode=3)
-    alone = [
-        local_train(ARCH, params, shard, cfg, seed, node_id=i, episode=3)
-        for shard, seed, i in zip(shards, seeds, ids)
-    ]
+    stacked = train_stack(ARCH, params, shards, cfg, seeds, episode=3)
+    alone = [local_train(ARCH, params, shard, cfg, seed, episode=3) for shard, seed in zip(shards, seeds)]
+    assert [u.node_id for u in stacked] == [s.node_id for s in shards]
     for a, b in zip(stacked, alone):
         assert np.array_equal(a.delta, b.delta)
         assert (a.steps, a.node_id) == (b.steps, b.node_id)
@@ -262,19 +277,19 @@ def test_train_stack_raises_for_first_diverging_node_in_order():
         data = Dataset(np.full((40, 6), x), np.full(40, y))
         return NodeShard(node_id, data, data.take(slice(0, 5)))
 
-    # alone, these diverge at steps 3, 1 and 2: the error must be node 0's,
+    # alone, these diverge at steps 3, 1 and 2: the error must be node 10's,
     # as one-at-a-time training in node order would raise it
-    shards = [shard(0, 100.0, 0.0), shard(1, 1.0, 1e250), shard(2, 1.0, 1e100)]
+    shards = [shard(10, 100.0, 0.0), shard(11, 1.0, 1e250), shard(12, 1.0, 1e100)]
     params = np.full(ARCH.n_params, 0.5)
     cfg = OptimizerConfig(kind="mbgd", learning_rate=1e100, local_steps=8, early_stop=False)
     with np.errstate(all="ignore"):
         alone = []
         for s in shards:
             with pytest.raises(TrainingDivergedError) as err:
-                local_train(ARCH, params, s, cfg, 1, node_id=s.node_id, episode=4)
+                local_train(ARCH, params, s, cfg, 1, episode=4)
             alone.append(err.value.step)
         with pytest.raises(TrainingDivergedError) as err:
-            train_stack(ARCH, params, shards, cfg, [1, 1, 1], node_ids=[10, 11, 12], episode=4)
+            train_stack(ARCH, params, shards, cfg, [1, 1, 1], episode=4)
     assert alone == [3, 1, 2]
     assert (err.value.node_id, err.value.step, err.value.episode) == (10, 3, 4)
     assert "episode 4, node 10, step 3" in str(err.value)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_clip_survives_norm_overflow():
     out = clip(_update([1e200, 1e200, 1e200]), 1.0)
     assert np.linalg.norm(out.delta) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(out.delta, 1 / math.sqrt(3), rtol=1e-12, atol=0)
+
+
+def test_clip_norm_overflow_prints_no_warning():
+    # the overflow branch handles the infinite norm, so numpy need not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clip(_update([1e200, 1e200, 1e200]), 1.0)
+    assert np.linalg.norm(out.delta) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_calibrate_inversion_fixture():
